@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -13,7 +13,7 @@ computed symbolically so left supports come from right supports by duality
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     Euclid,
@@ -129,6 +129,7 @@ class ForwardCone:
     comp: int
     x: int
     y: int
+    _moving = ("x", "y")
 
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
@@ -144,6 +145,7 @@ class BackwardCone:
     comp: int
     x: int
     y: int
+    _moving = ("x", "y")
 
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
@@ -161,6 +163,7 @@ class Rectangle:
     x_hi: int
     y_lo: int
     y_hi: int
+    _moving = ("x_lo", "x_hi", "y_lo", "y_hi")
 
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
@@ -182,6 +185,7 @@ class Rectangle:
 class XBand:
     comp: int
     residues: frozenset  # mod p
+    _moving = ("residues",)
 
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
@@ -200,6 +204,7 @@ class XBand:
 class YBand:
     comp: int
     residues: frozenset  # mod q
+    _moving = ("residues",)
 
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
@@ -222,6 +227,7 @@ class QuasiCone:
     family: str
     level: int
     idx: int
+    _moving = ("idx",)
 
     def contains(self, v, P):
         if not _tube_matches(self, v):
@@ -246,6 +252,7 @@ class TriangleArea:
     level: int
     idx: int
     apex_ht: int
+    _moving = ("idx",)
 
     def contains(self, v, P):
         if self.apex_ht < 0 or not _tube_matches(self, v):
@@ -275,6 +282,7 @@ class TubeZone:
     idx_hi: object
     top_lo: object
     top_hi: object
+    _moving = ("idx_lo", "idx_hi", "top_lo", "top_hi")
 
     def contains(self, v, P):
         if not _tube_matches(self, v):
@@ -308,6 +316,7 @@ class TubeResidueBand:
     level: int
     idx_residues: frozenset
     top_residues: frozenset
+    _moving = ("idx_residues", "top_residues")
 
     def contains(self, v, P):
         if not _tube_matches(self, v):
@@ -375,6 +384,29 @@ def _triangle_or_empty(family, level, idx, apex_ht):
 # symbolic omega images of regions
 
 
+def _shifted(value, d):
+    if value is None:
+        return None
+    if isinstance(value, frozenset):
+        return frozenset(s + d for s in value)
+    return value + d
+
+
+def _shift_region(r, d_from_0: int, d_from_1: int):
+    """A coordinate region moved to its partner part: comp / level flips and
+    every field named in r._moving gains d, which is d_from_0 from comp 0 /
+    level 0 and d_from_1 from comp 1 / level 1.  Heights such as
+    TriangleArea.apex_ht do not move."""
+    moving = getattr(type(r), "_moving", None)
+    if moving is None:
+        raise TypeError("unknown region %r" % (r,))
+    side = "comp" if hasattr(r, "comp") else "level"
+    d = d_from_1 if getattr(r, side) else d_from_0
+    changes = {name: _shifted(getattr(r, name), d) for name in moving}
+    changes[side] = 1 - getattr(r, side)
+    return replace(r, **changes)
+
+
 def omega_inv_region(r, P: Params):
     """The set omega^{-1}(r).  Parts swap: comp 0 -> comp 1 shifts (x,y) by
     (+1,+1), comp 1 -> comp 0 is the identity; tube level 0 -> 1 shifts the
@@ -387,45 +419,7 @@ def omega_inv_region(r, P: Params):
         return FiniteSet(frozenset(omega_inv(v, P) for v in r.vertices))
     if isinstance(r, (Union, Intersection)):
         return type(r)(tuple(omega_inv_region(m, P) for m in r.members))
-    if isinstance(r, (ForwardCone, BackwardCone)):
-        if r.comp == 0:
-            return type(r)(1, r.x + 1, r.y + 1)
-        return type(r)(0, r.x, r.y)
-    if isinstance(r, Rectangle):
-        if r.comp == 0:
-            return Rectangle(1, r.x_lo + 1, r.x_hi + 1, r.y_lo + 1, r.y_hi + 1)
-        return Rectangle(0, r.x_lo, r.x_hi, r.y_lo, r.y_hi)
-    if isinstance(r, XBand):
-        if r.comp == 0:
-            return XBand(1, frozenset(s + 1 for s in r.residues))
-        return XBand(0, r.residues)
-    if isinstance(r, YBand):
-        if r.comp == 0:
-            return YBand(1, frozenset(s + 1 for s in r.residues))
-        return YBand(0, r.residues)
-    if isinstance(r, QuasiCone):
-        if r.level == 0:
-            return QuasiCone(r.family, 1, r.idx + 1)
-        return QuasiCone(r.family, 0, r.idx)
-    if isinstance(r, TriangleArea):
-        if r.level == 0:
-            return TriangleArea(r.family, 1, r.idx + 1, r.apex_ht)
-        return TriangleArea(r.family, 0, r.idx, r.apex_ht)
-    if isinstance(r, TubeZone):
-        if r.level == 0:
-            bump = lambda b: None if b is None else b + 1
-            return TubeZone(r.family, 1, bump(r.idx_lo), bump(r.idx_hi),
-                            bump(r.top_lo), bump(r.top_hi))
-        return TubeZone(r.family, 0, r.idx_lo, r.idx_hi, r.top_lo, r.top_hi)
-    if isinstance(r, TubeResidueBand):
-        if r.level == 0:
-            return TubeResidueBand(
-                r.family, 1,
-                frozenset(s + 1 for s in r.idx_residues),
-                frozenset(s + 1 for s in r.top_residues),
-            )
-        return TubeResidueBand(r.family, 0, r.idx_residues, r.top_residues)
-    raise TypeError("unknown region %r" % (r,))
+    return _shift_region(r, 1, 0)
 
 
 def omega_region(r, P: Params):
@@ -438,45 +432,7 @@ def omega_region(r, P: Params):
         return FiniteSet(frozenset(omega(v, P) for v in r.vertices))
     if isinstance(r, (Union, Intersection)):
         return type(r)(tuple(omega_region(m, P) for m in r.members))
-    if isinstance(r, (ForwardCone, BackwardCone)):
-        if r.comp == 0:
-            return type(r)(1, r.x, r.y)
-        return type(r)(0, r.x - 1, r.y - 1)
-    if isinstance(r, Rectangle):
-        if r.comp == 0:
-            return Rectangle(1, r.x_lo, r.x_hi, r.y_lo, r.y_hi)
-        return Rectangle(0, r.x_lo - 1, r.x_hi - 1, r.y_lo - 1, r.y_hi - 1)
-    if isinstance(r, XBand):
-        if r.comp == 0:
-            return XBand(1, r.residues)
-        return XBand(0, frozenset(s - 1 for s in r.residues))
-    if isinstance(r, YBand):
-        if r.comp == 0:
-            return YBand(1, r.residues)
-        return YBand(0, frozenset(s - 1 for s in r.residues))
-    if isinstance(r, QuasiCone):
-        if r.level == 0:
-            return QuasiCone(r.family, 1, r.idx)
-        return QuasiCone(r.family, 0, r.idx - 1)
-    if isinstance(r, TriangleArea):
-        if r.level == 0:
-            return TriangleArea(r.family, 1, r.idx, r.apex_ht)
-        return TriangleArea(r.family, 0, r.idx - 1, r.apex_ht)
-    if isinstance(r, TubeZone):
-        if r.level == 0:
-            return TubeZone(r.family, 1, r.idx_lo, r.idx_hi, r.top_lo, r.top_hi)
-        drop = lambda b: None if b is None else b - 1
-        return TubeZone(r.family, 0, drop(r.idx_lo), drop(r.idx_hi),
-                        drop(r.top_lo), drop(r.top_hi))
-    if isinstance(r, TubeResidueBand):
-        if r.level == 0:
-            return TubeResidueBand(r.family, 1, r.idx_residues, r.top_residues)
-        return TubeResidueBand(
-            r.family, 0,
-            frozenset(s - 1 for s in r.idx_residues),
-            frozenset(s - 1 for s in r.top_residues),
-        )
-    raise TypeError("unknown region %r" % (r,))
+    return _shift_region(r, 0, -1)
 
 
 # ---------------------------------------------------------------------------

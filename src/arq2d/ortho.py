@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .model import (
     DomainError,
     Euclid,
@@ -96,6 +94,10 @@ def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
         return []
     if parts is None:
         parts = PART_NAMES
+    unknown = sorted(set(parts) - set(PART_NAMES))
+    if unknown:
+        raise DomainError("unknown part %s; valid parts are %s"
+                          % (", ".join(unknown), ", ".join(PART_NAMES)))
     ax = anchors[0].x
     pool = []
     for comp in (0, 1):
@@ -138,6 +140,52 @@ def maximality(S, P: Params, parts=None, pool=None) -> MaximalityReport:
     )
 
 
+def _maximal_cliques(pool, P: Params) -> list[list[Vertex]]:
+    """Maximal cliques of the orthogonality graph on pool, in no set order.
+
+    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka & Takahashi 2006)
+    over int bitsets: bit i stands for pool[i].  The pivot is the vertex of
+    cand | excl with the most neighbours in cand; only the set bits of
+    cand | excl are scanned.  An empty pool has no cliques.
+    """
+    n = len(pool)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _orthogonal_pair(pool[i], pool[j], P):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    out = []
+
+    def expand(clique, cand, excl):
+        if not cand:
+            if not excl:
+                out.append([pool[i] for i in clique])
+            return
+        best, pivot_adj, rest = -1, 0, cand | excl
+        while rest:
+            low = rest & -rest
+            nbrs = adj[low.bit_length() - 1]
+            count = (cand & nbrs).bit_count()
+            if count > best:
+                best, pivot_adj = count, nbrs
+            rest ^= low
+        todo = cand & ~pivot_adj
+        while todo:
+            low = todo & -todo
+            i = low.bit_length() - 1
+            clique.append(i)
+            expand(clique, cand & adj[i], excl & adj[i])
+            clique.pop()
+            cand ^= low
+            excl |= low
+            todo ^= low
+
+    if n:
+        expand([], (1 << n) - 1, 0)
+    return out
+
+
 def maximal_systems_containing(S, P: Params, parts=None, pool=None):
     """All maximal orthogonal systems containing S, canonical order."""
     vs = _canonical_set(S, P)
@@ -150,17 +198,7 @@ def maximal_systems_containing(S, P: Params, parts=None, pool=None):
     candidates = list(report.witnesses)
     if not candidates:
         return [vs]
-    graph = nx.Graph()
-    graph.add_nodes_from(candidates)
-    for i, a in enumerate(candidates):
-        for b in candidates[i + 1:]:
-            if _orthogonal_pair(a, b, P):
-                graph.add_edge(a, b)
-    systems = []
-    for clique in nx.find_cliques(graph):
-        systems.append(sorted(vs + list(clique), key=vertex_sort_key))
-    systems.sort(key=lambda s: [vertex_sort_key(v) for v in s])
-    return systems
+    return _maximal_systems(candidates, P, seed=vs)
 
 
 def triangle_pool(family, level, idx, height, P: Params) -> list[Tube]:
@@ -207,16 +245,10 @@ def _all_systems(pool, P: Params):
     return out
 
 
-def _maximal_systems(pool, P: Params):
-    if not pool:
-        return []
-    graph = nx.Graph()
-    graph.add_nodes_from(pool)
-    for i, a in enumerate(pool):
-        for b in pool[i + 1:]:
-            if _orthogonal_pair(a, b, P):
-                graph.add_edge(a, b)
-    systems = [sorted(c, key=vertex_sort_key) for c in nx.find_cliques(graph)]
+def _maximal_systems(pool, P: Params, seed=()):
+    """seed plus each maximal clique on pool, in canonical order."""
+    systems = [sorted([*seed, *c], key=vertex_sort_key)
+               for c in _maximal_cliques(pool, P)]
     systems.sort(key=lambda s: [vertex_sort_key(v) for v in s])
     return systems
 

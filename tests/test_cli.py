@@ -31,6 +31,18 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(bad))
         assert code == 1
 
+    def test_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "classify", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_document(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"vertices": []}')
+        code, _, err = run(capsys, "classify", str(bad))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestAlgebra:
     def test_dot_output(self, capsys, square_path):
@@ -110,6 +122,13 @@ class TestEnumerateMax:
         doc = json.loads(out)
         assert doc["count"] == 15
         assert doc["byCardinality"] == {"2": 2, "4": 12, "6": 1}
+
+    def test_unknown_part_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "enumerate-max", "--p", "2", "--q", "2",
+                             "--set", "E(0,1,0)", "--parts", "e0,zz")
+        assert code == 1
+        assert out == ""
+        assert "zz" in err and "e0, e1, u0, u1, p0, p1" in err
 
     def test_tube_only_seed_is_domain_error(self, capsys):
         code, _, err = run(capsys, "enumerate-max", "--p", "2", "--q", "2",

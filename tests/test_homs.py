@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 
 from conftest import param_vertex_pair
-from arq2d.homs import biperp, lsupp, part_of, rsupp, stable_hom_nonzero
+from arq2d.homs import (
+    PART_NAMES,
+    biperp,
+    lsupp,
+    omega_inv_region,
+    omega_region,
+    part_of,
+    rsupp,
+    stable_hom_nonzero,
+)
 from arq2d.model import (
     Euclid,
     Params,
@@ -12,6 +21,7 @@ from arq2d.model import (
     canonical,
     fundamental_domain,
     omega,
+    omega_inv,
     tau,
 )
 from arq2d.oracle import WindowSpec, brute_biperp
@@ -150,6 +160,19 @@ class TestRegionCoherence:
             r = rsupp(X, P)
             for Y in window.vertices():
                 assert l.contains(Y) == r.contains(omega(Y, P))
+
+    def test_region_images_match_vertex_omega(self):
+        P = Params(3, 2)
+        window = WindowSpec.periods(P, 2).vertices()
+        for X in fundamental_domain(P):
+            for rep in (rsupp(X, P), biperp([X], P)):
+                for name in PART_NAMES:
+                    r = rep.parts[name]
+                    inv, fwd = omega_inv_region(r, P), omega_region(r, P)
+                    assert omega_region(inv, P) == r
+                    for Y in window:
+                        assert inv.contains(Y, P) == r.contains(omega(Y, P), P)
+                        assert fwd.contains(Y, P) == r.contains(omega_inv(Y, P), P)
 
     def test_biperp_window_equals_brute(self):
         P = Params(2, 3)

@@ -1,9 +1,14 @@
 """Orthogonal-system predicates, triangle enumeration, maximal extension."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arq2d
 from arq2d.model import (
     DomainError,
     Euclid,
@@ -12,6 +17,7 @@ from arq2d.model import (
     Tube,
     canonical,
 )
+from arq2d.oracle import _maximal_cliques, exhaustive_max_ortho
 from arq2d.ortho import (
     NoEuclideanMember,
     enumerate_ortho_on_paired,
@@ -186,6 +192,45 @@ class TestMaximalExtension:
         with pytest.raises(DomainError):
             maximal_systems_containing(
                 [Euclid(0, 1, 0), Euclid(0, 1, 1)], P)
+
+
+class TestAgainstOracle:
+    """The bitset clique search against the oracle's naive Bron-Kerbosch."""
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("parts", [None, frozenset({"e0", "e1"})])
+    @pytest.mark.parametrize("anchor", [Euclid(0, 1, 0), Euclid(1, 0, 2)])
+    def test_anchored_systems(self, p, q, parts, anchor):
+        P = Params(p, q)
+        fast = maximal_systems_containing([anchor], P, parts=parts)
+        slow = exhaustive_max_ortho(P, anchor, parts)["systems"]
+        assert {tuple(s) for s in fast} == {tuple(s) for s in slow}
+        assert len(fast) == len(slow)
+
+    @pytest.mark.parametrize("kind", [None, 1, 2, 3])
+    def test_triangle_and_paired_areas(self, kind):
+        P = Params(2, 5)
+        for h in range(4):
+            if kind is None:
+                pool = triangle_pool("U", 0, 1, h, P)
+                fast = enumerate_ortho_on_triangle("U", 0, 1, h, P,
+                                                   maximal_only=True)
+            else:
+                pool = paired_pool("U", kind, 1, h, P)
+                fast = enumerate_ortho_on_paired("U", kind, 1, h, P,
+                                                 maximal_only=True)
+            slow = _maximal_cliques(pool, P)
+            assert {tuple(s) for s in fast} == {tuple(s) for s in slow}
+            assert len(fast) == len(slow)
+
+
+def test_import_leaves_networkx_out():
+    src = os.path.dirname(os.path.dirname(arq2d.__file__))
+    code = "import sys, arq2d; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 class TestChainShape:
