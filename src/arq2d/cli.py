@@ -133,6 +133,8 @@ def _cmd_enumerate_max(args) -> int:
 def _cmd_certify_sms(args) -> int:
     P = _params(args)
     members = _load_set(args.set)
+    if args.window < 1:
+        raise DomainError("--window must be at least 1 (got %d)" % args.window)
     window = None
     if args.window != 1:
         base = closure.default_window(members, P)

@@ -1,10 +1,12 @@
-"""Distinguished-triangle catalog and extension-closure reachability.
+"""Distinguished triangles and extension-closure reachability.
 
 Triangles are stored as (a, mids, c) meaning a -> (+)mids -> c -> shift(a)
 with shift = the inverse syzygy.  The closure engine runs three rules to a
-least fixpoint over a finite window: extensions pull middle terms in
-(orthogonal seeds make the closure summand-closed), rotations pull the end
-terms in.  Every derivation is traced and traces replay deterministically.
+least fixpoint over the triangles of a finite window: extensions pull
+middle terms in (orthogonal seeds make the closure summand-closed),
+rotations pull the end terms in.  It generates triangles on demand from the
+vertices it derives; `triangle_catalog` lists them all and serves as the
+reference.  Every derivation is traced and traces replay deterministically.
 """
 
 from __future__ import annotations
@@ -56,14 +58,18 @@ class ClosureWindow:
         if self.tube_ht_cap < 0:
             raise DomainError("negative tube height cap")
 
+    def lifts(self, v: Euclid) -> list[tuple[int, int]]:
+        """The raw (x, y) representatives of v's shift class in the box."""
+        p, q = self.P.p, self.P.q
+        lo = max(ceil_div(v.x - self.x_hi, p), ceil_div(self.y_lo - v.y, q))
+        hi = min((v.x - self.x_lo) // p, (self.y_hi - v.y) // q)
+        return [(v.x - p * l, v.y + q * l) for l in range(lo, hi + 1)]
+
     def contains(self, v: Vertex) -> bool:
         # Euclidean membership is lift-quantified: some representative of
         # the shift class must land in the raw box.
         if isinstance(v, Euclid):
-            p, q = self.P.p, self.P.q
-            lo = max(ceil_div(v.x - self.x_hi, p), ceil_div(self.y_lo - v.y, q))
-            hi = min((v.x - self.x_lo) // p, (self.y_hi - v.y) // q)
-            return lo <= hi
+            return bool(self.lifts(v))
         return v.ht <= self.tube_ht_cap
 
 
@@ -105,7 +111,10 @@ class DistinguishedTriangle:
 
 
 def triangle_catalog(P: Params, window: ClosureWindow):
-    """Every catalog triangle whose three slots all lie in the window."""
+    """Every catalog triangle whose three slots all lie in the window.
+
+    The closure engine never builds this list; it is the reference that
+    the engine's triangles are checked against."""
     tris: dict = {}
 
     def emit(family, a, mids, c):
@@ -167,8 +176,15 @@ class ClosureState:
     seeds: tuple
 
 
-def closure(S, P: Params, window: ClosureWindow | None = None,
-            triangles=None) -> ClosureState:
+def closure(S, P: Params, window: ClosureWindow | None = None) -> ClosureState:
+    """Least fixpoint of the three rules over the window's triangles.
+
+    The fixpoint is evaluated on demand: when a vertex leaves the queue, the
+    engine looks only at the triangles in which that vertex supplies a
+    premise of a rule, found by joining its in-box lifts against the raw
+    lifts of the vertices derived so far.  Its triangles are the ones
+    `triangle_catalog` lists, so it reaches the same least fixpoint.
+    """
     seeds = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
     if window is None:
         window = default_window(seeds, P)
@@ -177,39 +193,248 @@ def closure(S, P: Params, window: ClosureWindow | None = None,
             if not window.contains(u):
                 raise WindowTooSmall("%s falls outside the closure window"
                                      % format_vertex(u))
-    if triangles is None:
-        triangles = triangle_catalog(P, window)
+    run = _Fixpoint(P, window)
+    for v in seeds:
+        run.add((v.comp, v.x, v.y) if isinstance(v, Euclid)
+                else (v.family, v.level, v.idx, v.ht))
+    while run.queue:
+        v = run.queue.popleft()
+        if isinstance(v, Euclid):
+            run.pop_euclid(v)
+        else:
+            run.pop_tube(v)
+    return ClosureState(frozenset(run.in_f), tuple(run.trace), window,
+                        tuple(seeds))
 
-    index: dict[Vertex, list[int]] = {}
-    for n, t in enumerate(triangles):
-        keys = {t.a, t.c, omega_inv(t.a, P), omega(t.c, P)}
-        keys.update(t.mids)
-        for kv in keys:
-            index.setdefault(kv, []).append(n)
 
-    in_f = set(seeds)
-    trace = []
-    queue = deque(seeds)
+# Triangles inside the engine are raw: (family, a, mids, c) with every slot a
+# raw key, (comp, x, y) for Euclidean vertices and (family, level, idx, ht)
+# for tube vertices.  In these coordinates Omega sends (c, x, y) to
+# (1-c, x-c, y-c) and a tube (f, l, j, h) to (f, 1-l, j-l, h); its inverse
+# adds d = 1-c (or 1-l) instead, as model.omega and model.omega_inv do.
 
-    def produce(rule, tri, v):
-        in_f.add(v)
-        trace.append((rule, tri, v))
-        queue.append(v)
+def _mesh_e(c, i, j, x, y):
+    """The rectangle with a at (i, j) and c at (x, y)."""
+    return ("T-mesh-E", (c, i, j), ((c, i, y), (c, x, j)), (c, x, y))
 
-    while queue:
-        v = queue.popleft()
-        for n in index.get(v, ()):
-            t = triangles[n]
-            if t.a in in_f and t.c in in_f:
-                for m in t.mids:
-                    if m not in in_f:
-                        produce("ext", t, m)
-            if all(m in in_f for m in t.mids):
-                if omega_inv(t.a, P) in in_f and t.c not in in_f:
-                    produce("rot-right", t, t.c)
-                if omega(t.c, P) in in_f and t.a not in in_f:
-                    produce("rot-left", t, t.a)
-    return ClosureState(frozenset(in_f), tuple(trace), window, tuple(seeds))
+
+def _t_h(c, u, v, k):
+    """Tube chain with the mid at (u, v) and c k steps along x."""
+    return ("T-H" if k == 1 else "T-H-comp", ("P", c, u, k - 1), ((c, u, v),),
+            (c, u + k, v))
+
+
+def _t_v(c, u, v, k):
+    """Tube chain with the mid at (u, v) and c k steps along y."""
+    return ("T-V" if k == 1 else "T-V-comp", ("U", c, v, k - 1), ((c, u, v),),
+            (c, u, v + k))
+
+
+def _mesh_t(f, l, j, k):
+    mids = ((f, l, j, k + 1),)
+    if k >= 1:
+        mids += ((f, l, j + 1, k - 1),)
+    return ("T-mesh-T", (f, l, j, k), mids, (f, l, j + 1, k))
+
+
+class _Fixpoint:
+    """Working state of one closure run.
+
+    `have` holds the canonical keys of the derived vertices and
+    `lifted[comp]` every raw in-box lift of a derived Euclidean vertex, so a
+    raw corner inside the box is tested without canonicalising it.  Vertex
+    and triangle objects are built only when a rule produces a vertex.
+    """
+
+    def __init__(self, P: Params, window: ClosureWindow):
+        self.P = P
+        self.w = window
+        self.have: set = set()
+        self.lifted = (set(), set())
+        self.in_f: list = []
+        self.trace: list = []
+        self.queue: deque = deque()
+
+    def key(self, raw):
+        """Canonical key of a raw key."""
+        if len(raw) == 3:
+            c, x, y = raw
+            l = y // self.P.q
+            return (c, x + self.P.p * l, y - self.P.q * l)
+        f, l, j, h = raw
+        return (f, l, j % self.P.rank(f), h)
+
+    def vertex(self, raw) -> Vertex:
+        k = self.key(raw)
+        return Euclid(*k) if len(k) == 3 else Tube(*k)
+
+    def add(self, key) -> Vertex:
+        v = self.vertex(key)
+        self.have.add(key)
+        if len(key) == 3:
+            self.lifted[key[0]].update(self.w.lifts(v))
+        self.in_f.append(v)
+        self.queue.append(v)
+        return v
+
+    def derive(self, rule, tri, target) -> None:
+        key = self.key(target)
+        if key in self.have:
+            return
+        family, a, mids, c = tri
+        vertex = self.vertex
+        t = DistinguishedTriangle(vertex(a), tuple(vertex(m) for m in mids),
+                                  vertex(c), family)
+        self.trace.append((rule, t, self.add(key)))
+
+    def fire_tube_mesh(self, tri) -> None:
+        """Every rule of one T-mesh-T triangle, each checked in full."""
+        _, a, mids, c = tri
+        have, key = self.have, self.key
+        if key(a) in have and key(c) in have:
+            for m in mids:
+                self.derive("ext", tri, m)
+        if all(key(m) in have for m in mids):
+            f, l, j, h = a
+            if key((f, 1 - l, j + 1 - l, h)) in have:
+                self.derive("rot-right", tri, c)
+            f, l, j, h = c
+            if key((f, 1 - l, j - l, h)) in have:
+                self.derive("rot-left", tri, a)
+
+    def pop_euclid(self, v: Euclid) -> None:
+        P, w, have, key = self.P, self.w, self.have, self.key
+        p, q, cap = P.p, P.q, w.tube_ht_cap
+        c = v.comp
+        d = 1 - c
+        L = self.lifted[c]
+        for x, y in w.lifts(v):
+            # T-mesh-E with v at a corner: a (ext with c), c (ext with a),
+            # the upper-left mid or the lower-right mid (rotations)
+            for X, Y in list(L):
+                if X > x:
+                    if Y > y:
+                        if (x, Y) not in L or (X, y) not in L:
+                            self.ext(_mesh_e(c, x, y, X, Y))
+                    elif Y < y:
+                        if (x, Y) not in L or (X, y) not in L:
+                            self.rotate(_mesh_e(c, x, Y, X, y))
+                elif X < x:
+                    if Y < y:
+                        if (X, y) not in L or (x, Y) not in L:
+                            self.ext(_mesh_e(c, X, Y, x, y))
+                    elif Y > y:
+                        if (X, y) not in L or (x, Y) not in L:
+                            self.rotate(_mesh_e(c, X, y, x, Y))
+            # T-H / T-V with v as c: ext once the tube a is derived
+            for k in range(1, min(x - w.x_lo, cap + 1) + 1):
+                if (("P", c, (x - k) % p, k - 1) in have
+                        and (x - k, y) not in L):
+                    self.derive("ext", _t_h(c, x - k, y, k), (c, x - k, y))
+            for k in range(1, min(y - w.y_lo, cap + 1) + 1):
+                if (("U", c, (y - k) % q, k - 1) in have
+                        and (x, y - k) not in L):
+                    self.derive("ext", _t_v(c, x, y - k, k), (c, x, y - k))
+            # T-H / T-V with v as the mid: rot-right needs Omega^-1 a,
+            # rot-left needs Omega c
+            for k in range(1, min(w.x_hi - x, cap + 1) + 1):
+                if ((x + k, y) not in L
+                        and ("P", d, (x + d) % p, k - 1) in have):
+                    self.derive("rot-right", _t_h(c, x, y, k), (c, x + k, y))
+                if (("P", c, x % p, k - 1) not in have
+                        and key((d, x + k - c, y - c)) in have):
+                    self.derive("rot-left", _t_h(c, x, y, k),
+                                ("P", c, x, k - 1))
+            for k in range(1, min(w.y_hi - y, cap + 1) + 1):
+                if ((x, y + k) not in L
+                        and ("U", d, (y + d) % q, k - 1) in have):
+                    self.derive("rot-right", _t_v(c, x, y, k), (c, x, y + k))
+                if (("U", c, y % q, k - 1) not in have
+                        and key((d, x - c, y + k - c)) in have):
+                    self.derive("rot-left", _t_v(c, x, y, k),
+                                ("U", c, y, k - 1))
+        # v as Omega^-1 a of T-mesh-E: join the row and column through a
+        a = omega(v, P)
+        La = self.lifted[a.comp]
+        for i, j in w.lifts(a):
+            ups = [Y for Y in range(j + 1, w.y_hi + 1) if (i, Y) in La]
+            rights = [X for X in range(i + 1, w.x_hi + 1) if (X, j) in La]
+            for X in rights:
+                for Y in ups:
+                    if (X, Y) not in La:
+                        self.derive("rot-right", _mesh_e(a.comp, i, j, X, Y),
+                                    (a.comp, X, Y))
+        # v as Omega c of T-mesh-E, T-H or T-V: join through the corner c
+        cv = omega_inv(v, P)
+        cc = cv.comp
+        Lc = self.lifted[cc]
+        for X, Y in w.lifts(cv):
+            lefts = [i for i in range(w.x_lo, X) if (i, Y) in Lc]
+            downs = [j for j in range(w.y_lo, Y) if (X, j) in Lc]
+            for i in lefts:
+                for j in downs:
+                    if (i, j) not in Lc:
+                        self.derive("rot-left", _mesh_e(cc, i, j, X, Y),
+                                    (cc, i, j))
+            for k in range(1, min(X - w.x_lo, cap + 1) + 1):
+                if (X - k, Y) in Lc:
+                    tri = _t_h(cc, X - k, Y, k)
+                    self.derive("rot-left", tri, tri[1])
+            for k in range(1, min(Y - w.y_lo, cap + 1) + 1):
+                if (X, Y - k) in Lc:
+                    tri = _t_v(cc, X, Y - k, k)
+                    self.derive("rot-left", tri, tri[1])
+
+    def ext(self, tri) -> None:
+        """A T-mesh-E triangle whose a and c are both derived."""
+        for m in tri[2]:
+            self.derive("ext", tri, m)
+
+    def rotate(self, tri) -> None:
+        """A T-mesh-E triangle whose mids are both derived."""
+        _, (c, i, j), _, (_, x, y) = tri
+        d = 1 - c
+        key, have = self.key, self.have
+        if key((d, i + d, j + d)) in have:
+            self.derive("rot-right", tri, tri[3])
+        if key((d, x - c, y - c)) in have:
+            self.derive("rot-left", tri, tri[1])
+
+    def pop_tube(self, v: Tube) -> None:
+        P, w = self.P, self.w
+        p, q = P.p, P.q
+        f, k = v.family, v.ht + 1
+        # v as a of T-H / T-V: ext once c is derived
+        L = self.lifted[v.level]
+        for X, Y in list(L):
+            if f == "P":
+                u = X - k
+                if u >= w.x_lo and u % p == v.idx and (u, Y) not in L:
+                    self.derive("ext", _t_h(v.level, u, Y, k),
+                                (v.level, u, Y))
+            else:
+                u = Y - k
+                if u >= w.y_lo and u % q == v.idx and (X, u) not in L:
+                    self.derive("ext", _t_v(v.level, X, u, k),
+                                (v.level, X, u))
+        # v as Omega^-1 a of T-H / T-V: rot-right once the mid is derived
+        a = omega(v, P)
+        L = self.lifted[a.level]
+        for X, Y in list(L):
+            if f == "P":
+                if X % p == a.idx and X + k <= w.x_hi and (X + k, Y) not in L:
+                    self.derive("rot-right", _t_h(a.level, X, Y, k),
+                                (a.level, X + k, Y))
+            elif Y % q == a.idx and Y + k <= w.y_hi and (X, Y + k) not in L:
+                self.derive("rot-right", _t_v(a.level, X, Y, k),
+                            (a.level, X, Y + k))
+        # T-mesh-T: v as a, c, either mid, Omega^-1 a or Omega c (the last
+        # two name the same triangle, since Omega^-1 a == Omega c there)
+        l, j, h = v.level, v.idx, v.ht
+        for lv, jj, kk in ((l, j, h), (l, j - 1, h), (l, j, h - 1),
+                           (l, j - 1, h + 1), (1 - l, j - l, h)):
+            if 0 <= kk < w.tube_ht_cap:
+                self.fire_tube_mesh(_mesh_t(f, lv, jj, kk))
 
 
 def replay_trace(S, trace, P: Params) -> frozenset:

@@ -239,17 +239,93 @@ def test_criterion_07_cardinality_theorems(anchored_systems):
              % {k: counts[k] for k in sorted(counts)})
 
 
+# derived-set size of every maximal system through the anchor, as the
+# catalog-based closure engine computed it in the default window
+CERTIFIED_DERIVED = {
+    (2, 2): {
+        "E(0,0,1);E(0,1,0);E(1,1,1);E(1,2,0)": 100,
+        "E(0,1,0);E(1,0,1);TP(0,0,0);TU(0,1,0)": 96,
+        "E(0,1,0);E(1,1,1);TP(1,0,0);TU(0,1,0)": 92,
+        "E(0,1,0);E(1,2,0);TP(0,0,0);TU(1,1,0)": 96,
+        "E(0,1,0);E(1,3,0);TP(1,0,0);TU(1,1,0)": 96,
+    },
+    (2, 3): {
+        "E(0,0,1);E(0,1,0);E(1,0,2);E(1,1,1);TU(0,2,0)": 154,
+        "E(0,0,1);E(0,1,0);E(1,1,1);E(1,2,0);TU(1,2,0)": 154,
+        "E(0,0,2);E(0,1,0);E(1,1,1);E(1,2,0);TU(0,1,0)": 160,
+        "E(0,0,2);E(0,1,0);E(1,1,2);E(1,2,0);TU(1,1,0)": 160,
+        "E(0,1,0);E(1,0,1);TP(0,0,0);TU(0,1,0);TU(0,2,0)": 150,
+        "E(0,1,0);E(1,0,1);TP(0,0,0);TU(0,1,1);TU(1,2,0)": 150,
+        "E(0,1,0);E(1,0,2);TP(0,0,0);TU(0,2,0);TU(1,1,0)": 154,
+        "E(0,1,0);E(1,1,1);TP(1,0,0);TU(0,1,0);TU(0,2,0)": 144,
+        "E(0,1,0);E(1,1,1);TP(1,0,0);TU(0,1,1);TU(1,2,0)": 144,
+        "E(0,1,0);E(1,1,2);TP(1,0,0);TU(0,2,0);TU(1,1,0)": 148,
+        "E(0,1,0);E(1,2,0);TP(0,0,0);TU(0,1,0);TU(1,1,1)": 154,
+        "E(0,1,0);E(1,2,0);TP(0,0,0);TU(1,1,0);TU(1,2,0)": 154,
+        "E(0,1,0);E(1,3,0);TP(1,0,0);TU(0,1,0);TU(1,1,1)": 154,
+        "E(0,1,0);E(1,3,0);TP(1,0,0);TU(1,1,0);TU(1,2,0)": 154,
+    },
+    (3, 3): {
+        "E(0,-1,1);E(0,1,0);E(1,-1,2);E(1,0,1);TP(0,0,0);TU(0,2,0)": 210,
+        "E(0,-1,1);E(0,1,0);E(1,-1,2);E(1,1,1);TP(1,0,0);TU(0,2,0)": 210,
+        "E(0,-1,1);E(0,1,0);E(1,0,1);E(1,2,0);TP(0,0,0);TU(1,2,0)": 210,
+        "E(0,-1,1);E(0,1,0);E(1,1,1);E(1,2,0);TP(1,0,0);TU(1,2,0)": 210,
+        "E(0,-1,2);E(0,0,1);E(0,1,0);E(1,0,2);E(1,1,1);E(1,2,0)": 216,
+        "E(0,-1,2);E(0,1,0);E(1,0,1);E(1,2,0);TP(0,0,0);TU(0,1,0)": 216,
+        "E(0,-1,2);E(0,1,0);E(1,0,2);E(1,2,0);TP(0,0,0);TU(1,1,0)": 216,
+        "E(0,-1,2);E(0,1,0);E(1,1,1);E(1,2,0);TP(1,0,0);TU(0,1,0)": 216,
+        "E(0,-1,2);E(0,1,0);E(1,1,2);E(1,2,0);TP(1,0,0);TU(1,1,0)": 216,
+        "E(0,0,1);E(0,1,0);E(1,-1,2);E(1,1,1);TP(0,2,0);TU(0,2,0)": 210,
+        "E(0,0,1);E(0,1,0);E(1,0,2);E(1,1,1);TP(1,2,0);TU(0,2,0)": 204,
+        "E(0,0,1);E(0,1,0);E(1,1,1);E(1,2,0);TP(0,2,0);TU(1,2,0)": 210,
+        "E(0,0,1);E(0,1,0);E(1,1,1);E(1,3,0);TP(1,2,0);TU(1,2,0)": 210,
+        "E(0,0,2);E(0,1,0);E(1,1,1);E(1,2,0);TP(0,2,0);TU(0,1,0)": 222,
+        "E(0,0,2);E(0,1,0);E(1,1,1);E(1,3,0);TP(1,2,0);TU(0,1,0)": 216,
+        "E(0,0,2);E(0,1,0);E(1,1,2);E(1,2,0);TP(0,2,0);TU(1,1,0)": 222,
+        "E(0,0,2);E(0,1,0);E(1,1,2);E(1,3,0);TP(1,2,0);TU(1,1,0)": 216,
+        "E(0,1,0);E(1,-1,1);TP(0,0,0);TP(0,2,0);TU(0,1,0);TU(0,2,0)": 204,
+        "E(0,1,0);E(1,-1,1);TP(0,0,0);TP(0,2,0);TU(0,1,1);TU(1,2,0)": 204,
+        "E(0,1,0);E(1,-1,1);TP(0,2,1);TP(1,0,0);TU(0,1,0);TU(0,2,0)": 204,
+        "E(0,1,0);E(1,-1,1);TP(0,2,1);TP(1,0,0);TU(0,1,1);TU(1,2,0)": 204,
+        "E(0,1,0);E(1,-1,2);TP(0,0,0);TP(0,2,0);TU(0,2,0);TU(1,1,0)": 210,
+        "E(0,1,0);E(1,-1,2);TP(0,2,1);TP(1,0,0);TU(0,2,0);TU(1,1,0)": 210,
+        "E(0,1,0);E(1,0,1);TP(0,0,0);TP(1,2,0);TU(0,1,0);TU(0,2,0)": 198,
+        "E(0,1,0);E(1,0,1);TP(0,0,0);TP(1,2,0);TU(0,1,1);TU(1,2,0)": 198,
+        "E(0,1,0);E(1,0,2);TP(0,0,0);TP(1,2,0);TU(0,2,0);TU(1,1,0)": 204,
+        "E(0,1,0);E(1,1,1);TP(0,2,0);TP(1,2,1);TU(0,1,0);TU(0,2,0)": 192,
+        "E(0,1,0);E(1,1,1);TP(0,2,0);TP(1,2,1);TU(0,1,1);TU(1,2,0)": 192,
+        "E(0,1,0);E(1,1,1);TP(1,0,0);TP(1,2,0);TU(0,1,0);TU(0,2,0)": 192,
+        "E(0,1,0);E(1,1,1);TP(1,0,0);TP(1,2,0);TU(0,1,1);TU(1,2,0)": 192,
+        "E(0,1,0);E(1,1,2);TP(0,2,0);TP(1,2,1);TU(0,2,0);TU(1,1,0)": 198,
+        "E(0,1,0);E(1,1,2);TP(1,0,0);TP(1,2,0);TU(0,2,0);TU(1,1,0)": 198,
+        "E(0,1,0);E(1,2,0);TP(0,0,0);TP(0,2,0);TU(0,1,0);TU(1,1,1)": 210,
+        "E(0,1,0);E(1,2,0);TP(0,0,0);TP(0,2,0);TU(1,1,0);TU(1,2,0)": 210,
+        "E(0,1,0);E(1,2,0);TP(0,2,1);TP(1,0,0);TU(0,1,0);TU(1,1,1)": 210,
+        "E(0,1,0);E(1,2,0);TP(0,2,1);TP(1,0,0);TU(1,1,0);TU(1,2,0)": 210,
+        "E(0,1,0);E(1,3,0);TP(0,0,0);TP(1,2,0);TU(0,1,0);TU(1,1,1)": 210,
+        "E(0,1,0);E(1,3,0);TP(0,0,0);TP(1,2,0);TU(1,1,0);TU(1,2,0)": 210,
+        "E(0,1,0);E(1,4,0);TP(0,2,0);TP(1,2,1);TU(0,1,0);TU(1,1,1)": 210,
+        "E(0,1,0);E(1,4,0);TP(0,2,0);TP(1,2,1);TU(1,1,0);TU(1,2,0)": 210,
+        "E(0,1,0);E(1,4,0);TP(1,0,0);TP(1,2,0);TU(0,1,0);TU(1,1,1)": 210,
+        "E(0,1,0);E(1,4,0);TP(1,0,0);TP(1,2,0);TU(1,1,0);TU(1,2,0)": 210,
+    },
+}
+
+
 def test_criterion_08_certification(anchored_systems):
     t0 = time.perf_counter()
     certified = 0
     punctured_checked = 0
     for (p, q), (P, systems, _) in anchored_systems.items():
+        assert len(systems) == len(CERTIFIED_DERIVED[(p, q)])
         for s in systems:
             doc = certify_sms(s, P)
             assert doc["certified"], (P, s)
             assert all(doc["targets"].values())
             final = replay_trace(s, doc["trace"], P)
             assert len(final) == doc["derived"]
+            name = ";".join(sorted(format_vertex(canonical(v, P)) for v in s))
+            assert doc["derived"] == CERTIFIED_DERIVED[(p, q)][name], name
             certified += 1
             for drop in s:
                 rest = [v for v in s if v != drop]

@@ -164,6 +164,14 @@ class TestCertifySms:
         assert doc["maximal"] is False
         assert "corollary" not in doc
 
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_is_domain_error(self, capsys, window):
+        code, out, err = run(capsys, "certify-sms", "--p", "3", "--q", "3",
+                             "--set", self.SET, "--window", window)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --window must be at least 1")
+        assert err.count("\n") == 1
+
 
 class TestOracleCheck:
     def test_exit_three_with_one_honest_failure(self, capsys):

@@ -1,6 +1,8 @@
 """Triangle catalog, extension-closure fixpoint, certification, parameters."""
 
+import functools
 import json
+import random
 
 import pytest
 
@@ -24,7 +26,9 @@ from arq2d.model import (
     Tube,
     canonical,
     format_vertex,
+    omega,
     omega_inv,
+    tau,
 )
 from arq2d.ortho import NoEuclideanMember, maximal_systems_containing
 
@@ -130,6 +134,125 @@ class TestClosureEngine:
                         P33, ClosureWindow(P33, -3, 3, -3, 3, 1))
         assert state.in_f == frozenset({Tube("U", 0, 0, 0)})
         assert state.trace == ()
+
+
+@functools.lru_cache(maxsize=None)
+def _rules(P, window):
+    """Each catalog triangle with the premises of its rotations."""
+    return [(t.a, t.mids, t.c, omega_inv(t.a, P), omega(t.c, P))
+            for t in triangle_catalog(P, window)]
+
+
+def naive_closure(S, P, window):
+    """The three rules applied over the whole catalog until nothing changes."""
+    F = {canonical(v, P) for v in S}
+    while True:
+        before = len(F)
+        for a, mids, c, right, left in _rules(P, window):
+            if a in F and c in F:
+                F.update(mids)
+            if all(m in F for m in mids):
+                if right in F:
+                    F.add(c)
+                if left in F:
+                    F.add(a)
+        if len(F) == before:
+            return frozenset(F)
+
+
+def assert_matches_reference(S, P, window=None):
+    state = closure(S, P, window)
+    assert state.in_f == naive_closure(S, P, state.window), S
+    assert replay_trace(S, state.trace, P) == state.in_f, S
+    return state
+
+
+class TestAgainstCatalog:
+    """The demand-driven engine against a naive fixpoint over the catalog."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def drop_catalogs(self):
+        yield
+        _rules.cache_clear()
+
+    def test_two_two_maximal_and_punctured(self):
+        P = Params(2, 2)
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        assert len(systems) == 5
+        for s in systems:
+            assert_matches_reference(s, P)
+            for drop in s:
+                assert_matches_reference([v for v in s if v != drop], P)
+
+    def test_two_three_maximal(self):
+        P = Params(2, 3)
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        assert len(systems) == 14
+        for s in systems:
+            assert_matches_reference(s, P)
+
+    def test_flagship_default_and_grown_window(self):
+        assert_matches_reference(FLAGSHIP, P33)
+        # one more period (p, -q) of the identification of lifts
+        w = default_window(FLAGSHIP, P33)
+        grown = ClosureWindow(P33, w.x_lo, w.x_hi + 3, w.y_lo - 3, w.y_hi,
+                              w.tube_ht_cap)
+        assert_matches_reference(FLAGSHIP, P33, grown)
+
+    def test_random_seeds_in_small_windows(self):
+        # boxes around the seeds and their syzygy shifts, padded by 0-2,
+        # with random tube height caps: these reach joins that the
+        # orthogonal systems above never need
+        rng = random.Random(2026)
+        for _ in range(150):
+            P = Params(rng.randint(1, 3), rng.randint(1, 3))
+            S = [Euclid(rng.randint(0, 1), rng.randint(-2, 2),
+                        rng.randint(-2, 2)) if rng.random() < 0.75 else
+                 Tube(rng.choice("UP"), rng.randint(0, 1), rng.randint(0, 2),
+                      rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 5))]
+            pts = [u for v in S
+                   for u in (canonical(v, P), omega(v, P), omega_inv(v, P))
+                   if isinstance(u, Euclid)] or [Euclid(0, 0, 0)]
+            pad = [rng.randint(0, 2) for _ in range(4)]
+            cap = max([v.ht for v in S if isinstance(v, Tube)]
+                      + [rng.randint(0, 3)])
+            w = ClosureWindow(P, min(u.x for u in pts) - pad[0],
+                              max(u.x for u in pts) + pad[1],
+                              min(u.y for u in pts) - pad[2],
+                              max(u.y for u in pts) + pad[3], cap)
+            assert_matches_reference(S, P, w)
+
+    def test_tube_only_seed(self):
+        P = Params(2, 3)
+        seed = [Tube("U", 0, 0, 1), Tube("U", 1, 1, 0), Tube("P", 0, 0, 0),
+                Tube("P", 1, 1, 1)]
+        state = assert_matches_reference(seed, P)
+        assert len(state.in_f) > len(seed)
+
+
+class TestEquivariance:
+    """Closure commutes with tau, which shifts the window by (-1, -1)."""
+
+    SYSTEMS = maximal_systems_containing([Euclid(0, 1, 0)], Params(2, 3))
+
+    def test_closure_commutes_with_tau(self):
+        P = Params(2, 3)
+        for s in self.SYSTEMS:
+            state = closure(s, P)
+            w = state.window
+            moved = closure([tau(v, P) for v in s], P,
+                            ClosureWindow(P, w.x_lo - 1, w.x_hi - 1,
+                                          w.y_lo - 1, w.y_hi - 1,
+                                          w.tube_ht_cap))
+            assert moved.in_f == {tau(v, P) for v in state.in_f}, s
+
+    def test_verdict_is_tau_invariant(self):
+        P = Params(2, 3)
+        for s in self.SYSTEMS:
+            moved = [tau(v, P) for v in s]
+            assert (certify_sms(moved, P)["certified"]
+                    == certify_sms(s, P)["certified"]), s
 
 
 class TestTrace:
