@@ -47,9 +47,6 @@ class BrauerGraph:
     def valency(self, v: str) -> int:
         return len(self.rotation[v])
 
-    def halfedge_vertex(self, h: HalfEdge) -> str:
-        return self.edges[h[0]][h[1]]
-
 
 @dataclass(frozen=True)
 class DomesticClass:
@@ -342,7 +339,6 @@ def build_quiver(g: BrauerGraph) -> QuiverPresentation:
                                       "at every vertex")
 
     arrows: list[Arrow] = []
-    by_name: dict[str, Arrow] = {}
     position: dict[HalfEdge, tuple[str, int]] = {}
     for v in g.vertices:
         rot = g.rotation[v]
@@ -352,7 +348,6 @@ def build_quiver(g: BrauerGraph) -> QuiverPresentation:
             nxt = rot[(k + 1) % len(rot)]
             a = Arrow("%s:%d" % (v, k), h[0], nxt[0], v)
             arrows.append(a)
-            by_name[a.name] = a
             position[h] = (v, k)
 
     def halfedge_cycle(h: HalfEdge) -> tuple[str, ...]:

@@ -12,21 +12,28 @@ import os
 import sys
 
 from . import brauer, closure, ortho, render
-from .homs import biperp, lsupp, part_of, rsupp
+from .homs import PART_NAMES, biperp, lsupp, part_of, rsupp
 from .model import (
     DomainError,
     Params,
+    Window,
     canonical,
     format_vertex,
     parse_vertex,
 )
-from .oracle import WindowSpec, reproduce_frozen_counts
+from .oracle import reproduce_frozen_counts
 
 
 def _params(args) -> Params:
     if args.p is None or args.q is None:
         raise DomainError("this command needs --p and --q")
     return Params(args.p, args.q)
+
+
+def _periods(args) -> int:
+    if args.window < 1:
+        raise DomainError("--window must be at least 1 (got %d)" % args.window)
+    return args.window
 
 
 def _load_set(value: str):
@@ -85,8 +92,8 @@ def _cmd_algebra(args) -> int:
 
 
 def _window_members(report, P: Params, periods: int) -> dict:
-    w = WindowSpec.periods(P, periods)
-    out: dict[str, list[str]] = {k: [] for k in ("e0", "e1", "u0", "u1", "p0", "p1")}
+    w = Window.periods(P, periods)
+    out: dict[str, list[str]] = {k: [] for k in PART_NAMES}
     for v in w.vertices():
         if report.contains(v):
             out[part_of(v)].append(format_vertex(v))
@@ -110,10 +117,11 @@ def _cmd_supports(args) -> int:
 def _cmd_biperp(args) -> int:
     P = _params(args)
     members = _load_set(args.set)
+    periods = _periods(args)
     report = biperp(members, P)
     doc = report.to_json()
     doc["set"] = _fmt_vertices(members, P)
-    doc["windowMembers"] = _window_members(report, P, args.window)
+    doc["windowMembers"] = _window_members(report, P, periods)
     print(_emit(doc, args))
     return 0
 
@@ -133,15 +141,14 @@ def _cmd_enumerate_max(args) -> int:
 def _cmd_certify_sms(args) -> int:
     P = _params(args)
     members = _load_set(args.set)
-    if args.window < 1:
-        raise DomainError("--window must be at least 1 (got %d)" % args.window)
+    periods = _periods(args)
     window = None
-    if args.window != 1:
+    if periods != 1:
         base = closure.default_window(members, P)
-        pad = (args.window - 1) * (P.p + P.q)
-        window = closure.ClosureWindow(
+        pad = (periods - 1) * (P.p + P.q)
+        window = Window(
             P, base.x_lo - pad, base.x_hi + pad, base.y_lo - pad,
-            base.y_hi + pad, base.tube_ht_cap + (args.window - 1) * max(P.p, P.q))
+            base.y_hi + pad, base.tube_ht_cap + (periods - 1) * max(P.p, P.q))
     doc = closure.certify_sms(members, P, window)
     report = ortho.maximality(members, P)
     doc["maximal"] = report.is_maximal
@@ -172,7 +179,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_render(args) -> int:
     P = _params(args)
-    w = WindowSpec.periods(P, args.window)
+    w = Window.periods(P, _periods(args))
     highlights = {}
     if args.set:
         highlights["set"] = frozenset(
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="draw one component part")
     common(sp)
-    sp.add_argument("part", choices=render.PARTS)
+    sp.add_argument("part", choices=PART_NAMES)
     sp.add_argument("--set", default=None, help="highlight these vertices")
     sp.add_argument("--emit", choices=("dot", "svg", "tikz", "json"),
                     default="svg")
@@ -255,10 +262,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

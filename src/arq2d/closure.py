@@ -21,13 +21,14 @@ from .model import (
     Params,
     Tube,
     Vertex,
+    Window,
     canonical,
     format_vertex,
     omega,
     omega_inv,
     vertex_sort_key,
 )
-from .homs import QuasiCone, ceil_div, stable_hom_nonzero
+from .homs import QuasiCone, stable_hom_nonzero
 from .ortho import NoEuclideanMember, maximality
 
 
@@ -43,37 +44,7 @@ class ParameterNotUnique(DomainError):
     """A gap parameter or predicted vertex failed its uniqueness clause."""
 
 
-@dataclass(frozen=True)
-class ClosureWindow:
-    P: Params
-    x_lo: int
-    x_hi: int
-    y_lo: int
-    y_hi: int
-    tube_ht_cap: int
-
-    def __post_init__(self):
-        if self.x_hi < self.x_lo or self.y_hi < self.y_lo:
-            raise DomainError("empty closure window")
-        if self.tube_ht_cap < 0:
-            raise DomainError("negative tube height cap")
-
-    def lifts(self, v: Euclid) -> list[tuple[int, int]]:
-        """The raw (x, y) representatives of v's shift class in the box."""
-        p, q = self.P.p, self.P.q
-        lo = max(ceil_div(v.x - self.x_hi, p), ceil_div(self.y_lo - v.y, q))
-        hi = min((v.x - self.x_lo) // p, (self.y_hi - v.y) // q)
-        return [(v.x - p * l, v.y + q * l) for l in range(lo, hi + 1)]
-
-    def contains(self, v: Vertex) -> bool:
-        # Euclidean membership is lift-quantified: some representative of
-        # the shift class must land in the raw box.
-        if isinstance(v, Euclid):
-            return bool(self.lifts(v))
-        return v.ht <= self.tube_ht_cap
-
-
-def default_window(S, P: Params) -> ClosureWindow:
+def default_window(S, P: Params) -> Window:
     pts = []
     for v in S:
         v = canonical(v, P)
@@ -86,8 +57,8 @@ def default_window(S, P: Params) -> ClosureWindow:
         y_lo, y_hi = min(u.y for u in pts), max(u.y for u in pts)
     else:
         x_lo = x_hi = y_lo = y_hi = 0
-    return ClosureWindow(P, x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad,
-                         max(P.p, P.q) - 1)
+    return Window(P, x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad,
+                  max(P.p, P.q) - 1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +81,7 @@ class DistinguishedTriangle:
         }
 
 
-def triangle_catalog(P: Params, window: ClosureWindow):
+def triangle_catalog(P: Params, window: Window):
     """Every catalog triangle whose three slots all lie in the window.
 
     The closure engine never builds this list; it is the reference that
@@ -172,11 +143,10 @@ def triangle_catalog(P: Params, window: ClosureWindow):
 class ClosureState:
     in_f: frozenset
     trace: tuple
-    window: ClosureWindow
-    seeds: tuple
+    window: Window
 
 
-def closure(S, P: Params, window: ClosureWindow | None = None) -> ClosureState:
+def closure(S, P: Params, window: Window | None = None) -> ClosureState:
     """Least fixpoint of the three rules over the window's triangles.
 
     The fixpoint is evaluated on demand: when a vertex leaves the queue, the
@@ -203,8 +173,7 @@ def closure(S, P: Params, window: ClosureWindow | None = None) -> ClosureState:
             run.pop_euclid(v)
         else:
             run.pop_tube(v)
-    return ClosureState(frozenset(run.in_f), tuple(run.trace), window,
-                        tuple(seeds))
+    return ClosureState(frozenset(run.in_f), tuple(run.trace), window)
 
 
 # Triangles inside the engine are raw: (family, a, mids, c) with every slot a
@@ -246,7 +215,7 @@ class _Fixpoint:
     and triangle objects are built only when a rule produces a vertex.
     """
 
-    def __init__(self, P: Params, window: ClosureWindow):
+    def __init__(self, P: Params, window: Window):
         self.P = P
         self.w = window
         self.have: set = set()
@@ -464,7 +433,7 @@ def trace_json_lines(trace):
                          sort_keys=True)
 
 
-def certify_sms(S, P: Params, window: ClosureWindow | None = None) -> dict:
+def certify_sms(S, P: Params, window: Window | None = None) -> dict:
     vs = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
     has_euclid = any(isinstance(v, Euclid) for v in vs)
     if window is None:

@@ -21,16 +21,12 @@ from .model import (
     Tube,
     Vertex,
     canonical,
+    ceil_div,
     format_vertex,
     omega,
     omega_inv,
     vertex_sort_key,
 )
-
-
-def ceil_div(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
 
 
 def residue_in_interval(value: int, modulus: int, lo, hi) -> bool:
@@ -287,10 +283,8 @@ class TubeZone:
     def contains(self, v, P):
         if not _tube_matches(self, v):
             return False
-        lows = [self.idx_lo if self.idx_lo is not None else None,
-                self.top_lo - v.ht if self.top_lo is not None else None]
-        highs = [self.idx_hi if self.idx_hi is not None else None,
-                 self.top_hi - v.ht if self.top_hi is not None else None]
+        lows = [self.idx_lo, self.top_lo - v.ht if self.top_lo is not None else None]
+        highs = [self.idx_hi, self.top_hi - v.ht if self.top_hi is not None else None]
         lows = [x for x in lows if x is not None]
         highs = [x for x in highs if x is not None]
         lo = max(lows) if lows else None

@@ -147,6 +147,71 @@ def vertex_sort_key(v: Vertex):
     return (1, v.family, v.level, v.idx, v.ht)
 
 
+def ceil_div(a: int, b: int) -> int:
+    # b > 0
+    return -((-a) // b)
+
+
+@dataclass(frozen=True)
+class Window:
+    """A finite slice of the quiver: the raw box [x_lo, x_hi] x [y_lo, y_hi]
+    on the universal cover of both Euclidean components, and every tube
+    vertex up to height tube_ht_cap.  A Euclidean vertex is in the window
+    when some representative of its shift class lands in the box."""
+
+    P: Params
+    x_lo: int
+    x_hi: int
+    y_lo: int
+    y_hi: int
+    tube_ht_cap: int
+
+    def __post_init__(self):
+        if self.x_hi < self.x_lo or self.y_hi < self.y_lo:
+            raise DomainError("empty window")
+        if self.tube_ht_cap < 0:
+            raise DomainError("negative tube height cap")
+
+    @classmethod
+    def periods(cls, P: Params, n: int):
+        """The box n periods out from the origin in each direction."""
+        if n < 1:
+            raise DomainError("a window spans at least 1 period (got %d)" % n)
+        return cls(P, -n * P.p, n * P.p, -n * P.q, n * P.q,
+                   n * max(P.p, P.q) - 1)
+
+    def lifts(self, v: Euclid) -> list[tuple[int, int]]:
+        """The raw (x, y) representatives of v's shift class in the box."""
+        p, q = self.P.p, self.P.q
+        lo = max(ceil_div(v.x - self.x_hi, p), ceil_div(self.y_lo - v.y, q))
+        hi = min((v.x - self.x_lo) // p, (self.y_hi - v.y) // q)
+        return [(v.x - p * l, v.y + q * l) for l in range(lo, hi + 1)]
+
+    def contains(self, v: Vertex) -> bool:
+        if isinstance(v, Euclid):
+            return bool(self.lifts(v))
+        return v.ht <= self.tube_ht_cap
+
+    def vertices(self) -> list[Vertex]:
+        seen = set()
+        out = []
+        for c in (0, 1):
+            for x in range(self.x_lo, self.x_hi + 1):
+                for y in range(self.y_lo, self.y_hi + 1):
+                    v = canonical(Euclid(c, x, y), self.P)
+                    if v not in seen:
+                        seen.add(v)
+                        out.append(v)
+        for fam in ("U", "P"):
+            r = self.P.rank(fam)
+            for level in (0, 1):
+                for j in range(r):
+                    for k in range(self.tube_ht_cap + 1):
+                        out.append(Tube(fam, level, j, k))
+        out.sort(key=vertex_sort_key)
+        return out
+
+
 _VERTEX_RE = re.compile(
     r"^\s*(E|TU|TP)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$"
 )

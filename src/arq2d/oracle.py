@@ -7,14 +7,13 @@ two can be diffed; the enumerators are deliberately naive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     DomainError,
     Euclid,
     Params,
     Tube,
     Vertex,
+    Window,
     canonical,
     format_vertex,
     vertex_sort_key,
@@ -22,44 +21,13 @@ from .model import (
 from .homs import part_of, stable_hom_nonzero
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    P: Params
-    x_lo: int
-    x_hi: int
-    y_lo: int
-    y_hi: int
-    tube_ht_cap: int
+class WindowSpec(Window):
+    """A Window that covers at least one full period in each direction."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.x_hi - self.x_lo + 1 < self.P.p or self.y_hi - self.y_lo + 1 < self.P.q:
             raise DomainError("window must cover at least one full period")
-        if self.tube_ht_cap < 0:
-            raise DomainError("tube height cap must be >= 0")
-
-    @classmethod
-    def periods(cls, P: Params, n: int = 3) -> "WindowSpec":
-        return cls(P, -n * P.p, n * P.p, -n * P.q, n * P.q,
-                   n * max(P.p, P.q) - 1)
-
-    def vertices(self) -> list[Vertex]:
-        seen = set()
-        out = []
-        for c in (0, 1):
-            for x in range(self.x_lo, self.x_hi + 1):
-                for y in range(self.y_lo, self.y_hi + 1):
-                    v = canonical(Euclid(c, x, y), self.P)
-                    if v not in seen:
-                        seen.add(v)
-                        out.append(v)
-        for fam in ("U", "P"):
-            r = self.P.rank(fam)
-            for level in (0, 1):
-                for j in range(r):
-                    for k in range(self.tube_ht_cap + 1):
-                        out.append(Tube(fam, level, j, k))
-        out.sort(key=vertex_sort_key)
-        return out
 
 
 def mutually_orthogonal(a: Vertex, b: Vertex, P: Params) -> bool:

@@ -122,17 +122,10 @@ def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
     return sorted(set(out), key=vertex_sort_key)
 
 
-def maximality(S, P: Params, parts=None, pool=None) -> MaximalityReport:
+def maximality(S, P: Params, parts=None) -> MaximalityReport:
     vs = _canonical_set(S, P)
     blocked = any(isinstance(v, Euclid) for v in vs)
-    if pool is None:
-        pool = witness_pool(vs, P, parts)
-    else:
-        pool = [canonical(v, P) for v in pool if v not in vs]
-        pool = sorted(
-            {v for v in pool
-             if all(_orthogonal_pair(v, u, P) for u in vs)},
-            key=vertex_sort_key)
+    pool = witness_pool(vs, P, parts)
     return MaximalityReport(
         is_maximal=(not pool) and blocked,
         witnesses=tuple(pool),
@@ -186,7 +179,7 @@ def _maximal_cliques(pool, P: Params) -> list[list[Vertex]]:
     return out
 
 
-def maximal_systems_containing(S, P: Params, parts=None, pool=None):
+def maximal_systems_containing(S, P: Params, parts=None):
     """All maximal orthogonal systems containing S, canonical order."""
     vs = _canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):
@@ -194,7 +187,7 @@ def maximal_systems_containing(S, P: Params, parts=None, pool=None):
                                 "Euclidean member")
     if not is_orthogonal_system(vs, P):
         raise DomainError("seed is not an orthogonal system")
-    report = maximality(vs, P, parts=parts, pool=pool)
+    report = maximality(vs, P, parts=parts)
     candidates = list(report.witnesses)
     if not candidates:
         return [vs]

@@ -14,12 +14,11 @@ vertex (idx, ht) at (idx + ht/2, ht).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
-from .model import DomainError, Euclid, Params, Tube, Vertex, canonical, format_vertex
-from .oracle import WindowSpec
-
-PARTS = ("e0", "e1", "u0", "u1", "p0", "p1")
+from .homs import PART_NAMES, part_of
+from .model import (DomainError, Euclid, Params, Tube, Vertex, Window,
+                    canonical, format_vertex)
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -32,7 +31,7 @@ class UnknownPart(DomainError):
 class RenderSpec:
     P: Params
     part: str
-    window: WindowSpec
+    window: Window
     highlights: dict[str, frozenset] = field(default_factory=dict)
     fmt: str = "svg"
 
@@ -52,8 +51,8 @@ def _ident(*parts: int) -> str:
 
 
 def _resolve_part(spec: RenderSpec):
-    if spec.part not in PARTS:
-        raise UnknownPart("part must be one of %s" % (", ".join(PARTS)))
+    if spec.part not in PART_NAMES:
+        raise UnknownPart("part must be one of %s" % (", ".join(PART_NAMES)))
     kind = spec.part[0]
     level = int(spec.part[1])
     if kind == "e":
@@ -63,34 +62,16 @@ def _resolve_part(spec: RenderSpec):
 
 def _highlight_lookup(spec: RenderSpec) -> dict[Vertex, str]:
     out: dict[Vertex, str] = {}
-    shape = _resolve_part(spec)
     w = spec.window
     for label in sorted(spec.highlights):
         for v in spec.highlights[label]:
             cv = canonical(v, spec.P)
-            if shape[0] == "euclid":
-                # some representative must land in the window box
-                ok = (isinstance(cv, Euclid) and cv.comp == shape[1]
-                      and _euclid_rep_in_box(cv, spec.P, w))
-            else:
-                ok = (isinstance(cv, Tube) and cv.family == shape[1]
-                      and cv.level == shape[2] and cv.ht <= w.tube_ht_cap)
-            if not ok:
+            if not (part_of(cv) == spec.part and w.contains(cv)):
                 raise DomainError(
                     "highlight %s is outside part %s or its window"
                     % (format_vertex(cv), spec.part))
             out.setdefault(cv, label)
     return out
-
-
-def _euclid_rep_in_box(cv: Euclid, P: Params, w: WindowSpec) -> bool:
-    for x in range(w.x_lo, w.x_hi + 1):
-        if (x - cv.x) % P.p:
-            continue
-        k = (x - cv.x) // P.p
-        if w.y_lo <= cv.y - k * P.q <= w.y_hi:
-            return True
-    return False
 
 
 def layout(spec: RenderSpec) -> tuple[list[Node], list[tuple[str, str]]]:
@@ -223,10 +204,11 @@ def _emit_svg(spec: RenderSpec) -> str:
         out.append('<circle cx="%.1f" cy="%.1f" r="%.1f" fill="%s" '
                    'stroke="#222" stroke-width="1">'
                    '<title>%s</title></circle>'
-                   % (cx, cy, r, fill, escape(format_vertex(n.vertex))))
+                   % (cx, cy, r, fill,
+                      escape(format_vertex(n.vertex), quote=False)))
         out.append('<text x="%.1f" y="%.1f" font-size="7" '
                    'text-anchor="middle" fill="#111">%s</text>'
-                   % (cx, cy + 2.2, escape(n.text)))
+                   % (cx, cy + 2.2, escape(n.text, quote=False)))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

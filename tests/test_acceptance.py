@@ -16,7 +16,7 @@ import pytest
 from conftest import ACCEPTANCE_ROWS, SQUARE_DOC
 from arq2d.brauer import classify, parse_graph
 from arq2d.closure import certify_sms, extract_params, replay_trace
-from arq2d.homs import biperp, stable_hom_nonzero
+from arq2d.homs import PART_NAMES, biperp, stable_hom_nonzero
 from arq2d.model import (
     Euclid,
     Params,
@@ -34,7 +34,7 @@ from arq2d.ortho import (
     maximal_systems_containing,
     maximality,
 )
-from arq2d.render import PARTS, RenderSpec, layout, render
+from arq2d.render import RenderSpec, layout, render
 
 
 def conclude(num, title, ok, elapsed, detail):
@@ -369,7 +369,7 @@ def test_criterion_10_renderer():
     h = window.y_hi - window.y_lo + 1
     node_re = re.compile(r'^  n[0-9m_]+ \[pos="[-0-9.]+,[-0-9.]+!".*\];$')
     edge_re = re.compile(r'^  n[0-9m_]+ -> n[0-9m_]+;$')
-    for part in PARTS:
+    for part in PART_NAMES:
         spec = RenderSpec(P, part, window, {}, "svg")
         nodes, arrows = layout(spec)
         if part in ("e0", "e1"):

@@ -164,13 +164,17 @@ class TestCertifySms:
         assert doc["maximal"] is False
         assert "corollary" not in doc
 
-    @pytest.mark.parametrize("window", ["0", "-3"])
-    def test_window_below_one_is_domain_error(self, capsys, window):
-        code, out, err = run(capsys, "certify-sms", "--p", "3", "--q", "3",
-                             "--set", self.SET, "--window", window)
-        assert code == 1 and out == ""
-        assert err.startswith("error: --window must be at least 1")
-        assert err.count("\n") == 1
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["biperp", "--p", "1", "--q", "1", "--set", "E(0,0,0)"],
+    ["render", "e0", "--p", "3", "--q", "3"],
+    ["certify-sms", "--p", "3", "--q", "3", "--set", TestCertifySms.SET],
+], ids=lambda argv: argv[0])
+def test_window_below_one_is_domain_error(capsys, command, window):
+    code, out, err = run(capsys, *command, "--window", window)
+    assert code == 1 and out == ""
+    assert err == "error: --window must be at least 1 (got %s)\n" % window
 
 
 class TestOracleCheck:

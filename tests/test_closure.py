@@ -7,7 +7,6 @@ import random
 import pytest
 
 from arq2d.closure import (
-    ClosureWindow,
     DistinguishedTriangle,
     NotMaximal,
     WindowTooSmall,
@@ -24,6 +23,7 @@ from arq2d.model import (
     Euclid,
     Params,
     Tube,
+    Window,
     canonical,
     format_vertex,
     omega,
@@ -50,19 +50,19 @@ def flagship_cert():
 class TestWindow:
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
-            ClosureWindow(P33, 1, 0, 0, 0, 1)
+            Window(P33, 1, 0, 0, 0, 1)
         with pytest.raises(DomainError):
-            ClosureWindow(P33, 0, 0, 0, 0, -1)
+            Window(P33, 0, 0, 0, 0, -1)
 
     def test_euclid_membership_is_lift_quantified(self):
-        w = ClosureWindow(P33, 0, 2, 0, 2, 1)
+        w = Window(P33, 0, 2, 0, 2, 1)
         assert w.contains(Euclid(0, 1, 1))
         # E(0,4,-2) is identified with E(0,1,1), which lands in the box
         assert w.contains(Euclid(0, 4, -2))
         assert not w.contains(Euclid(0, 4, 0))
 
     def test_tube_membership_is_height_capped(self):
-        w = ClosureWindow(P33, 0, 2, 0, 2, 1)
+        w = Window(P33, 0, 2, 0, 2, 1)
         assert w.contains(Tube("U", 0, 0, 1))
         assert not w.contains(Tube("U", 0, 0, 2))
 
@@ -87,7 +87,7 @@ class TestCatalog:
 
     def test_known_mesh_triangle_present(self):
         P = Params(2, 2)
-        w = ClosureWindow(P, -2, 2, -2, 2, 1)
+        w = Window(P, -2, 2, -2, 2, 1)
         cat = triangle_catalog(P, w)
         want = DistinguishedTriangle(
             canonical(Euclid(0, 0, 0), P),
@@ -98,7 +98,7 @@ class TestCatalog:
 
     def test_tube_mesh_triangles_close_the_rank(self):
         P = Params(2, 3)
-        w = ClosureWindow(P, 0, 0, 0, 0, 1)
+        w = Window(P, 0, 0, 0, 0, 1)
         cat = [t for t in triangle_catalog(P, w) if t.family == "T-mesh-T"]
         # every quasi-simple has a mesh triangle to its cyclic successor
         starts = {t.a for t in cat if isinstance(t.a, Tube) and t.a.ht == 0}
@@ -119,19 +119,19 @@ class TestClosureEngine:
 
     def test_monotone_in_window(self, flagship_state):
         w = flagship_state.window
-        bigger = ClosureWindow(P33, w.x_lo - 1, w.x_hi + 1, w.y_lo - 1,
+        bigger = Window(P33, w.x_lo - 1, w.x_hi + 1, w.y_lo - 1,
                                w.y_hi + 1, w.tube_ht_cap)
         grown = closure(FLAGSHIP, P33, bigger)
         assert flagship_state.in_f <= grown.in_f
 
     def test_window_too_small(self):
-        w = ClosureWindow(P33, 0, 1, 0, 1, 1)
+        w = Window(P33, 0, 1, 0, 1, 1)
         with pytest.raises(WindowTooSmall):
             closure(FLAGSHIP, P33, w)
 
     def test_single_tube_seed_is_inert(self):
         state = closure([Tube("U", 0, 0, 0)],
-                        P33, ClosureWindow(P33, -3, 3, -3, 3, 1))
+                        P33, Window(P33, -3, 3, -3, 3, 1))
         assert state.in_f == frozenset({Tube("U", 0, 0, 0)})
         assert state.trace == ()
 
@@ -195,7 +195,7 @@ class TestAgainstCatalog:
         assert_matches_reference(FLAGSHIP, P33)
         # one more period (p, -q) of the identification of lifts
         w = default_window(FLAGSHIP, P33)
-        grown = ClosureWindow(P33, w.x_lo, w.x_hi + 3, w.y_lo - 3, w.y_hi,
+        grown = Window(P33, w.x_lo, w.x_hi + 3, w.y_lo - 3, w.y_hi,
                               w.tube_ht_cap)
         assert_matches_reference(FLAGSHIP, P33, grown)
 
@@ -217,7 +217,7 @@ class TestAgainstCatalog:
             pad = [rng.randint(0, 2) for _ in range(4)]
             cap = max([v.ht for v in S if isinstance(v, Tube)]
                       + [rng.randint(0, 3)])
-            w = ClosureWindow(P, min(u.x for u in pts) - pad[0],
+            w = Window(P, min(u.x for u in pts) - pad[0],
                               max(u.x for u in pts) + pad[1],
                               min(u.y for u in pts) - pad[2],
                               max(u.y for u in pts) + pad[3], cap)
@@ -242,7 +242,7 @@ class TestEquivariance:
             state = closure(s, P)
             w = state.window
             moved = closure([tau(v, P) for v in s], P,
-                            ClosureWindow(P, w.x_lo - 1, w.x_hi - 1,
+                            Window(P, w.x_lo - 1, w.x_hi - 1,
                                           w.y_lo - 1, w.y_hi - 1,
                                           w.tube_ht_cap))
             assert moved.in_f == {tau(v, P) for v in state.in_f}, s

@@ -1,9 +1,14 @@
-"""Vertex model: canonical forms, translation and syzygy actions, parsing."""
+"""Vertex model: canonical forms, translation and syzygy actions, parsing,
+windows, and the import boundary around the oracle."""
+
+import ast
+import pathlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import arq2d
 from conftest import param_vertex, params_strategy
 from arq2d.model import (
     DomainError,
@@ -11,6 +16,7 @@ from arq2d.model import (
     HeightOutOfRange,
     Params,
     Tube,
+    Window,
     canonical,
     format_vertex,
     fundamental_domain,
@@ -150,3 +156,72 @@ class TestValidation:
             Tube("X", 0, 0, 0)
         with pytest.raises(HeightOutOfRange):
             Tube("U", 0, 0, -1)
+
+
+class TestWindow:
+    @given(param_vertex(), st.integers(-8, 8), st.integers(1, 12),
+           st.integers(-8, 8), st.integers(1, 12), st.integers(0, 4))
+    @example((Params(5, 4), Euclid(0, 7, -3)), 1, 2, -1, 3, 0)
+    @example((Params(5, 4), Euclid(0, 8, -3)), 1, 2, -1, 3, 0)
+    def test_lifts_match_lattice_scan(self, pv, x_lo, width, y_lo, height, cap):
+        # widths start at 1, so many boxes are narrower than one period
+        P, v = pv
+        w = Window(P, x_lo, x_lo + width - 1, y_lo, y_lo + height - 1, cap)
+        if isinstance(v, Tube):
+            assert w.contains(v) == (v.ht <= cap)
+            return
+        scan = [(v.x - P.p * l, v.y + P.q * l) for l in range(-40, 41)]
+        scan = [(x, y) for x, y in scan
+                if w.x_lo <= x <= w.x_hi and w.y_lo <= y <= w.y_hi]
+        assert w.lifts(v) == scan
+        assert w.contains(v) == bool(scan)
+        assert w.contains(canonical(v, P)) == bool(scan)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_periods_below_one_rejected(self, n):
+        with pytest.raises(DomainError):
+            Window.periods(Params(2, 3), n)
+
+
+SRC = pathlib.Path(arq2d.__file__).parent
+
+
+def _package_imports(path):
+    """(module, names) for each import of an arq2d module in one file;
+    `from . import m` is reported as (m, set())."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("arq2d."):
+                    yield alias.name[len("arq2d."):], set()
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "arq2d" and not module.startswith("arq2d."):
+                    continue
+                module = module[len("arq2d"):].lstrip(".")
+            if module:
+                yield module, {alias.name for alias in node.names}
+            else:
+                for alias in node.names:
+                    yield alias.name, set()
+
+
+class TestImportBoundary:
+    def test_oracle_trusts_only_the_model_and_the_predicate(self):
+        for module, names in _package_imports(SRC / "oracle.py"):
+            assert module in ("model", "homs"), module
+            if module == "homs":
+                assert names <= {"part_of", "stable_hom_nonzero"}, names
+
+    def test_only_cli_uses_the_oracle(self):
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            assert all(module != "oracle"
+                       for module, _ in _package_imports(path)), path.name
+
+    def test_cli_takes_only_the_frozen_counts(self):
+        used = [names for module, names in _package_imports(SRC / "cli.py")
+                if module == "oracle"]
+        assert used == [{"reproduce_frozen_counts"}]

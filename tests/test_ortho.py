@@ -226,11 +226,13 @@ class TestAgainstOracle:
 
 def test_import_leaves_networkx_out():
     src = os.path.dirname(os.path.dirname(arq2d.__file__))
-    code = "import sys, arq2d; print('networkx' in sys.modules)"
+    code = ("import sys, arq2d; "
+            "print([m for m in ('networkx', 'urllib.request') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 class TestChainShape:

@@ -5,11 +5,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from arq2d.homs import biperp
-from arq2d.model import DomainError, Euclid, Params, Tube
-from arq2d.oracle import WindowSpec
+from arq2d.homs import PART_NAMES, biperp
+from arq2d.model import DomainError, Euclid, Params, Tube, Window
 from arq2d.render import (
-    PARTS,
     RenderSpec,
     UnknownPart,
     layout,
@@ -18,7 +16,7 @@ from arq2d.render import (
 )
 
 P33 = Params(3, 3)
-W33 = WindowSpec(P33, 0, 3, 0, 3, 2)
+W33 = Window(P33, 0, 3, 0, 3, 2)
 
 
 def spec_for(part, fmt="svg", highlights=None, P=P33, window=W33):
@@ -44,7 +42,7 @@ class TestLayoutCounts:
         assert len(arrows) == 2 * rank * cap
 
     def test_node_names_unique(self):
-        for part in PARTS:
+        for part in PART_NAMES:
             nodes, _ = layout(spec_for(part))
             assert len({n.name for n in nodes}) == len(nodes)
 
@@ -60,7 +58,7 @@ class TestHighlights:
             Euclid(0, x, y)
             for x in range(-6, 7) for y in range(3)
             if bp.contains(Euclid(0, x, y)))
-        window = WindowSpec(P33, -2, 1, 0, 3, 2)
+        window = Window(P33, -2, 1, 0, 3, 2)
         nodes, _ = layout(spec_for("e0", highlights={"bp": members},
                                    window=window))
         assert sum(1 for n in nodes if n.label == "bp") == 4
@@ -84,7 +82,7 @@ class TestHighlights:
 
 
 class TestEmitters:
-    @pytest.mark.parametrize("part", PARTS)
+    @pytest.mark.parametrize("part", PART_NAMES)
     def test_svg_is_well_formed(self, part):
         text = render(spec_for(part, "svg"))
         root = ET.fromstring(text)
