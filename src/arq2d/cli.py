@@ -199,12 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "symmetric special biserial algebras")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, window_default=2):
+    def common(sp):
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--window", type=int, default=window_default,
-                        help="window size in periods")
         sp.add_argument("--pretty", action="store_true")
+
+    def window(sp, default=2):
+        sp.add_argument("--window", type=int, default=default,
+                        help="window size in periods")
 
     sp = sub.add_parser("classify", help="domestic type of a graph document")
     sp.add_argument("graph")
@@ -223,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("biperp", help="bi-perpendicular category of a set")
     common(sp)
+    window(sp)
     sp.add_argument("--set", required=True)
     sp.set_defaults(fn=_cmd_biperp)
 
@@ -236,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify-sms",
                         help="extension-closure certificate for a system")
-    common(sp, window_default=1)
+    common(sp)
+    window(sp, default=1)
     sp.add_argument("--set", required=True)
     sp.add_argument("--trace", default=None,
                     help="write the derivation trace to this file")
@@ -249,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="draw one component part")
     common(sp)
+    window(sp)
     sp.add_argument("part", choices=PART_NAMES)
     sp.add_argument("--set", default=None, help="highlight these vertices")
     sp.add_argument("--emit", choices=("dot", "svg", "tikz", "json"),

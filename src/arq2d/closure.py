@@ -28,8 +28,8 @@ from .model import (
     omega_inv,
     vertex_sort_key,
 )
-from .homs import QuasiCone, stable_hom_nonzero
-from .ortho import NoEuclideanMember, maximality
+from .homs import QuasiCone
+from .ortho import NoEuclideanMember, maximality, witness_pool
 
 
 class WindowTooSmall(DomainError):
@@ -469,8 +469,8 @@ def extract_params(S, P: Params) -> dict:
     For each pair of cyclically consecutive comp-0 members the rank-p gap
     index t and rank-q gap index s are the unique values whose partner
     quasi-simple wings avoid S; the comp-1 member of the gap is the unique
-    bi-perpendicular point of S-without-comp-1 inside the gap rectangle.
-    All three are reported in absolute window coordinates.
+    bi-perpendicular point of S-without-comp-1 inside the gap rectangle,
+    read off that set's comp-1 witness pool.  All three are reported in absolute window coordinates.
     """
     vs = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
     if not any(isinstance(v, Euclid) for v in vs):
@@ -484,6 +484,7 @@ def extract_params(S, P: Params) -> dict:
     if not comp0:
         raise DomainError("maximal system with empty comp-0 part")
     rest = [v for v in vs if not (isinstance(v, Euclid) and v.comp == 1)]
+    comp1_witnesses = set(witness_pool(rest, P, ("e1",)))
 
     t_list, s_list, predicted = [], [], []
     ell = len(comp0)
@@ -506,13 +507,9 @@ def extract_params(S, P: Params) -> dict:
             raise ParameterNotUnique("gap %d admits s candidates %s" % (r, ss))
         s_list.append(ss[0])
 
-        box = []
-        for x in range(a_r + 1, a_n + 1):
-            for y in range(b_n + 1, b_r + 1):
-                w = canonical(Euclid(1, x, y), P)
-                if all(not stable_hom_nonzero(u, w, P)
-                       and not stable_hom_nonzero(w, u, P) for u in rest):
-                    box.append(w)
+        box = [w for x in range(a_r + 1, a_n + 1)
+               for y in range(b_n + 1, b_r + 1)
+               if (w := canonical(Euclid(1, x, y), P)) in comp1_witnesses]
         if len(box) != 1:
             raise ParameterNotUnique(
                 "gap %d rectangle admits %s" %

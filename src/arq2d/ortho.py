@@ -6,10 +6,22 @@ backtracking over finite pools; maximal systems are maximal cliques of the
 compatibility graph.  Witness pools for maximality are finite only when the
 system pins down a Euclidean band, hence the NoEuclideanMember precondition
 on the extension search.
+
+Maximality and the anchored clique search read one orthogonality table per
+anchor band, keyed by (Params, ax) with ax the x of the set's first
+Euclidean member in vertex_sort_key order.  The band is every canonical
+Euclidean vertex with ax-p <= x <= ax+p on both components plus every
+brick-candidate tube vertex; it holds each brick candidate orthogonal to
+that member.  A table decides a pair only when a query first needs it and
+records the answer for both members of the pair, so a cold table makes no
+more Hom calls than a direct filter.  An LRU cache keeps the _BAND_TABLES
+(128) most recently used tables.  The oracle never reads them: it
+re-derives everything from the Hom predicate.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .model import (
@@ -81,6 +93,101 @@ class MaximalityReport:
     homogeneous_blocked: bool
 
 
+_BAND_TABLES = 128
+
+
+class _Band:
+    """Orthogonality table of one anchor band (see the module docstring).
+
+    cand lists the band's brick candidates in vertex_sort_key order and bit
+    i of every mask stands for cand[i].  known[i] marks the pairs (i, j)
+    already decided and ortho[i] the orthogonal ones among them; both grow
+    on demand and stay symmetric.
+    """
+
+    def __init__(self, P: Params, ax: int):
+        cand = [Euclid(comp, x, y) for comp in (0, 1)
+                for x in range(ax - P.p, ax + P.p + 1) for y in range(P.q)]
+        for family in ("U", "P"):
+            rank = P.rank(family)
+            cand += [Tube(family, level, idx, ht) for level in (0, 1)
+                     for idx in range(rank) for ht in range(rank - 1)]
+        cand.sort(key=vertex_sort_key)
+        self.P = P
+        self.cand = cand
+        self.index = {v: i for i, v in enumerate(cand)}
+        self.part_bits = dict.fromkeys(PART_NAMES, 0)
+        for i, v in enumerate(cand):
+            self.part_bits[part_of(v)] |= 1 << i
+        self.known = [1 << i for i in range(len(cand))]
+        self.ortho = [0] * len(cand)
+
+    def row(self, i: int, mask: int) -> int:
+        """Decide every pair (i, j) with j in mask; return i's orthogonal bits."""
+        todo = mask & ~self.known[i]
+        if todo:
+            known, ortho, cand, bit = self.known, self.ortho, self.cand, 1 << i
+            v = cand[i]
+            known[i] |= todo
+            while todo:
+                low = todo & -todo
+                j = low.bit_length() - 1
+                known[j] |= bit
+                if _orthogonal_pair(cand[j], v, self.P):
+                    ortho[i] |= low
+                    ortho[j] |= bit
+                todo ^= low
+        return self.ortho[i]
+
+
+@functools.lru_cache(maxsize=_BAND_TABLES)
+def _band(P: Params, ax: int) -> _Band:
+    return _Band(P, ax)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _witnesses(vs, P: Params, parts):
+    """(band, witness mask) of a canonical set; (None, 0) without a
+    Euclidean member.
+
+    Members are applied in order and each decides only the candidates that
+    survived the members before it, the pairs a direct filter would test.
+    A member outside the band gets a row computed for this call only.
+    """
+    anchors = [v for v in vs if isinstance(v, Euclid)]
+    if not anchors:
+        return None, 0
+    if parts is None:
+        parts = PART_NAMES
+    unknown = sorted(set(parts) - set(PART_NAMES))
+    if unknown:
+        raise DomainError("unknown part %s; valid parts are %s"
+                          % (", ".join(unknown), ", ".join(PART_NAMES)))
+    band = _band(P, anchors[0].x)
+    mask = 0
+    for name in parts:
+        mask |= band.part_bits[name]
+    for v in vs:
+        if v in band.index:
+            mask &= ~(1 << band.index[v])
+    for v in vs:
+        if not mask:
+            break
+        i = band.index.get(v)
+        if i is not None:
+            mask &= band.row(i, mask)
+        else:
+            mask = sum(1 << j for j in _bits(mask)
+                       if _orthogonal_pair(band.cand[j], v, P))
+    return band, mask
+
+
 def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
     """Brick candidates orthogonal to every member of S.
 
@@ -88,38 +195,8 @@ def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
     the bi-perpendicular category to one band of width p; tube heights cap
     at rank-2.  Returns [] when S has no Euclidean member.
     """
-    vs = _canonical_set(S, P)
-    anchors = [v for v in vs if isinstance(v, Euclid)]
-    if not anchors:
-        return []
-    if parts is None:
-        parts = PART_NAMES
-    unknown = sorted(set(parts) - set(PART_NAMES))
-    if unknown:
-        raise DomainError("unknown part %s; valid parts are %s"
-                          % (", ".join(unknown), ", ".join(PART_NAMES)))
-    ax = anchors[0].x
-    pool = []
-    for comp in (0, 1):
-        for x in range(ax - P.p, ax + P.p + 1):
-            for y in range(P.q):
-                pool.append(Euclid(comp, x, y))
-    for family in ("U", "P"):
-        rank = P.rank(family)
-        for level in (0, 1):
-            for idx in range(rank):
-                for ht in range(rank - 1):
-                    pool.append(Tube(family, level, idx, ht))
-    out = []
-    for v in pool:
-        v = canonical(v, P)
-        if part_of(v) not in parts or v in vs:
-            continue
-        if not is_brick_candidate(v, P):
-            continue
-        if all(_orthogonal_pair(v, u, P) for u in vs):
-            out.append(v)
-    return sorted(set(out), key=vertex_sort_key)
+    band, mask = _witnesses(_canonical_set(S, P), P, parts)
+    return [band.cand[i] for i in _bits(mask)]
 
 
 def maximality(S, P: Params, parts=None) -> MaximalityReport:
@@ -133,27 +210,21 @@ def maximality(S, P: Params, parts=None) -> MaximalityReport:
     )
 
 
-def _maximal_cliques(pool, P: Params) -> list[list[Vertex]]:
-    """Maximal cliques of the orthogonality graph on pool, in no set order.
+def _cliques(adj, cand: int) -> list[list[int]]:
+    """Maximal cliques, as lists of bit indices in no set order, of the
+    graph on the set bits of cand, where adj[i] is the neighbour mask of i.
 
     Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka & Takahashi 2006)
-    over int bitsets: bit i stands for pool[i].  The pivot is the vertex of
-    cand | excl with the most neighbours in cand; only the set bits of
-    cand | excl are scanned.  An empty pool has no cliques.
+    over int bitsets.  The pivot is the vertex of cand | excl with the most
+    neighbours in cand; only the set bits of cand | excl are scanned.  An
+    empty cand has no cliques.
     """
-    n = len(pool)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _orthogonal_pair(pool[i], pool[j], P):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
     out = []
 
     def expand(clique, cand, excl):
         if not cand:
             if not excl:
-                out.append([pool[i] for i in clique])
+                out.append(list(clique))
             return
         best, pivot_adj, rest = -1, 0, cand | excl
         while rest:
@@ -174,24 +245,48 @@ def _maximal_cliques(pool, P: Params) -> list[list[Vertex]]:
             excl |= low
             todo ^= low
 
-    if n:
-        expand([], (1 << n) - 1, 0)
+    if cand:
+        expand([], cand, 0)
     return out
 
 
+def _maximal_cliques(pool, P: Params) -> list[list[Vertex]]:
+    """Maximal cliques of the orthogonality graph on pool, in no set order."""
+    n = len(pool)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _orthogonal_pair(pool[i], pool[j], P):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return [[pool[i] for i in c] for c in _cliques(adj, (1 << n) - 1)]
+
+
 def maximal_systems_containing(S, P: Params, parts=None):
-    """All maximal orthogonal systems containing S, canonical order."""
+    """All maximal orthogonal systems containing S, canonical order.
+
+    The search runs on the band table's bit indices.  Every member of an
+    orthogonal seed lies in the band, and bit order is vertex_sort_key
+    order, so sorted index tuples are the canonical order.
+    """
     vs = _canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):
         raise NoEuclideanMember("extension pool is unbounded without a "
                                 "Euclidean member")
     if not is_orthogonal_system(vs, P):
         raise DomainError("seed is not an orthogonal system")
-    report = maximality(vs, P, parts=parts)
-    candidates = list(report.witnesses)
-    if not candidates:
+    band, pool = _witnesses(vs, P, parts)
+    if not pool:
         return [vs]
-    return _maximal_systems(candidates, P, seed=vs)
+    adj = [0] * len(band.cand)
+    # highest bit first: on a cold table each pair is then decided as
+    # _orthogonal_pair(lower, higher), the same Hom calls _maximal_cliques
+    # makes on a list
+    for i in sorted(_bits(pool), reverse=True):
+        adj[i] = band.row(i, pool) & pool
+    seed = [band.index[v] for v in vs]
+    systems = sorted(tuple(sorted(seed + c)) for c in _cliques(adj, pool))
+    return [[band.cand[i] for i in s] for s in systems]
 
 
 def triangle_pool(family, level, idx, height, P: Params) -> list[Tube]:
@@ -238,9 +333,9 @@ def _all_systems(pool, P: Params):
     return out
 
 
-def _maximal_systems(pool, P: Params, seed=()):
-    """seed plus each maximal clique on pool, in canonical order."""
-    systems = [sorted([*seed, *c], key=vertex_sort_key)
+def _maximal_systems(pool, P: Params):
+    """Each maximal clique on pool, in canonical order."""
+    systems = [sorted(c, key=vertex_sort_key)
                for c in _maximal_cliques(pool, P)]
     systems.sort(key=lambda s: [vertex_sort_key(v) for v in s])
     return systems

@@ -177,6 +177,27 @@ def test_window_below_one_is_domain_error(capsys, command, window):
     assert err == "error: --window must be at least 1 (got %s)\n" % window
 
 
+@pytest.mark.parametrize("command", [
+    ["supports", "--p", "3", "--q", "3", "--set", "E(0,0,0)"],
+    ["enumerate-max", "--p", "3", "--q", "3", "--set", "E(0,1,0)"],
+], ids=lambda argv: argv[0])
+def test_window_is_usage_error_where_unused(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *command, "--window", "0")
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["biperp", "--p", "2", "--q", "2", "--set", "E(0,0,0)"],
+    ["render", "e0", "--p", "2", "--q", "2", "--emit", "json"],
+    ["certify-sms", "--p", "2", "--q", "2", "--set", "E(0,0,0)"],
+], ids=lambda argv: argv[0])
+def test_window_accepted_where_used(capsys, command):
+    code, out, _ = run(capsys, *command, "--window", "2")
+    assert code == 0 and out
+
+
 class TestOracleCheck:
     def test_exit_three_with_one_honest_failure(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--emit", "json")

@@ -1,14 +1,21 @@
 """Orthogonal-system predicates, triangle enumeration, maximal extension."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arq2d
+from arq2d import ortho
+from arq2d.closure import extract_params
+from arq2d.homs import PART_NAMES, part_of
 from arq2d.model import (
     DomainError,
     Euclid,
@@ -16,9 +23,18 @@ from arq2d.model import (
     Params,
     Tube,
     canonical,
+    is_brick_candidate,
+    vertex_sort_key,
 )
-from arq2d.oracle import _maximal_cliques, exhaustive_max_ortho
+from arq2d.oracle import (
+    WindowSpec,
+    _maximal_cliques,
+    brute_biperp,
+    exhaustive_max_ortho,
+    mutually_orthogonal,
+)
 from arq2d.ortho import (
+    MaximalityReport,
     NoEuclideanMember,
     enumerate_ortho_on_paired,
     enumerate_ortho_on_triangle,
@@ -222,6 +238,140 @@ class TestAgainstOracle:
             slow = _maximal_cliques(pool, P)
             assert {tuple(s) for s in fast} == {tuple(s) for s in slow}
             assert len(fast) == len(slow)
+
+
+def _naive_pool(S, P):
+    """Anchor-band brick candidates orthogonal to every member of S, one
+    candidate at a time by the oracle's predicate; [] without a Euclidean
+    member."""
+    vs = {canonical(v, P) for v in S}
+    euclid = sorted((v for v in vs if isinstance(v, Euclid)),
+                    key=vertex_sort_key)
+    if not euclid:
+        return []
+    ax = euclid[0].x
+    band = [Euclid(c, x, y) for c in (0, 1)
+            for x in range(ax - P.p, ax + P.p + 1) for y in range(P.q)]
+    band += [Tube(f, level, i, k) for f in "UP" for level in (0, 1)
+             for i in range(P.rank(f)) for k in range(P.rank(f) - 1)]
+    return sorted((v for v in band if v not in vs and all(
+        mutually_orthogonal(v, u, P) for u in vs)), key=vertex_sort_key)
+
+
+def _random_seeds(rng, P):
+    def vertex():
+        if rng.random() < 0.7:
+            return Euclid(rng.randrange(2), rng.randrange(-2 * P.p, 2 * P.p),
+                          rng.randrange(-P.q, 2 * P.q))
+        f = rng.choice("UP")
+        r = P.rank(f)
+        return Tube(f, rng.randrange(2), rng.randrange(-r, 2 * r),
+                    rng.randrange(r))  # ht r-1 is not a brick
+
+    seeds = []
+    for _ in range(4):  # orthogonal, grown greedily
+        S = []
+        for _ in range(12):
+            v = canonical(vertex(), P)
+            if (is_brick_candidate(v, P) and v not in S
+                    and all(mutually_orthogonal(v, u, P) for u in S)):
+                S.append(v)
+        seeds.append(S)
+    seeds += [[vertex() for _ in range(rng.randint(1, 5))] for _ in range(3)]
+    # members outside the anchor band: far comp-0 and comp-1 Euclidean
+    # vertices and a tube vertex above the brick cap
+    seeds.append([Euclid(0, 0, 0), Euclid(0, 3 * P.p, 0),
+                  Euclid(1, -3 * P.p, 1), Tube("U", 0, 0, P.q - 1)])
+    seeds.append([Tube("U", 0, 0, 0), Tube("P", 1, 1, 0)])  # tube-only
+    return seeds
+
+
+class TestBandTable:
+    """witness_pool and maximality read a shared, demand-filled table; they
+    must agree with a per-candidate oracle filter whatever filled it."""
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (2, 5), (3, 4), (4, 3), (5, 5)])
+    def test_against_naive_filter(self, p, q):
+        P = Params(p, q)
+        rng = random.Random(1000 * p + q)
+        seeds = _random_seeds(rng, P)
+        subsets = [frozenset(c) for k in range(len(PART_NAMES) + 1)
+                   for c in itertools.combinations(PART_NAMES, k)]
+        queries = [(i, parts) for i in range(len(seeds)) for parts in subsets]
+        naive = [_naive_pool(S, P) for S in seeds]
+        ortho._band.cache_clear()
+        answers = []
+        for _ in ("cold", "warm"):
+            rng.shuffle(queries)
+            got = {}
+            for i, parts in queries:
+                got[i, parts] = (witness_pool(seeds[i], P, parts),
+                                 maximality(seeds[i], P, parts))
+            answers.append(got)
+        assert answers[0] == answers[1]
+        for (i, parts), (pool, report) in answers[0].items():
+            want = [v for v in naive[i] if part_of(v) in parts]
+            assert pool == want, (seeds[i], parts)
+            blocked = any(isinstance(v, Euclid) for v in seeds[i])
+            assert report == MaximalityReport(not want and blocked,
+                                              tuple(want), blocked)
+        assert witness_pool(seeds[-1], P) == []
+        # every decided pair is recorded in both directions, with the
+        # oracle's verdict
+        for S in seeds:
+            euclid = sorted((canonical(v, P) for v in S
+                             if isinstance(v, Euclid)), key=vertex_sort_key)
+            if not euclid:
+                continue
+            band = ortho._band(P, euclid[0].x)
+            for i, j in itertools.combinations(range(len(band.cand)), 2):
+                if band.known[i] >> j & 1:
+                    assert band.known[j] >> i & 1
+                    verdict = mutually_orthogonal(band.cand[i], band.cand[j], P)
+                    assert bool(band.ortho[i] >> j & 1) == verdict
+                    assert bool(band.ortho[j] >> i & 1) == verdict
+                else:
+                    assert not band.known[j] >> i & 1
+
+
+def test_witness_pool_complete():
+    """witness_pool scans only the anchor's band; the brute-force bi-perp
+    over a window three periods wide finds no brick candidate it misses.
+    Checked on E(0,1,0) and every punctured maximal system through it at
+    (2,3) and (3,3): 324 sets.  Time budget 20 s (about 1.5 s measured on
+    a 2-core VM)."""
+    t0 = time.perf_counter()
+    for P in (Params(2, 3), Params(3, 3)):
+        window = WindowSpec.periods(P, 3)
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        seeds = [[Euclid(0, 1, 0)]]
+        seeds += [S[:i] + S[i + 1:] for S in systems for i in range(len(S))]
+        for S in seeds:
+            brute = sorted((v for v in brute_biperp(S, window)
+                            if is_brick_candidate(v, P)), key=vertex_sort_key)
+            assert witness_pool(S, P) == brute, S
+    assert time.perf_counter() - t0 < 20.0
+
+
+def test_anchored_count_pin():
+    """Observed pattern, not a theorem of the paper: the maximal systems
+    through E(0,1,0) number Catalan(p+q-1) at every p, q <= 5 (429 at
+    (4,4), 4,862 at (5,5)).  Every (4,4) system's comp-1 part is the one
+    extract_params predicts.  Time budget 15 s (about 0.5 s measured on a
+    2-core VM)."""
+    t0 = time.perf_counter()
+    for p in range(1, 6):
+        for q in range(1, 6):
+            n = p + q - 1
+            systems = maximal_systems_containing([Euclid(0, 1, 0)],
+                                                 Params(p, q))
+            assert len(systems) == comb(2 * n, n) // (n + 1), (p, q)
+    P = Params(4, 4)
+    for S in maximal_systems_containing([Euclid(0, 1, 0)], P):
+        predicted = extract_params(S, P)["predictedComp1"]
+        comp1 = [v for v in S if isinstance(v, Euclid) and v.comp == 1]
+        assert sorted(predicted, key=vertex_sort_key) == comp1
+    assert time.perf_counter() - t0 < 15.0
 
 
 def test_import_leaves_networkx_out():
