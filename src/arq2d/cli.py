@@ -141,14 +141,7 @@ def _cmd_enumerate_max(args) -> int:
 def _cmd_certify_sms(args) -> int:
     P = _params(args)
     members = _load_set(args.set)
-    periods = _periods(args)
-    window = None
-    if periods != 1:
-        base = closure.default_window(members, P)
-        pad = (periods - 1) * (P.p + P.q)
-        window = Window(
-            P, base.x_lo - pad, base.x_hi + pad, base.y_lo - pad,
-            base.y_hi + pad, base.tube_ht_cap + (periods - 1) * max(P.p, P.q))
+    window = closure.default_window(members, P, _periods(args))
     doc = closure.certify_sms(members, P, window)
     report = ortho.maximality(members, P)
     doc["maximal"] = report.is_maximal

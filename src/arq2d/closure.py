@@ -44,21 +44,23 @@ class ParameterNotUnique(DomainError):
     """A gap parameter or predicted vertex failed its uniqueness clause."""
 
 
-def default_window(S, P: Params) -> Window:
+def default_window(S, P: Params, periods: int = 1) -> Window:
+    """The box around S and its Omega-shifts, padded by periods*(p+q), with
+    tubes up to height periods*max(p,q)-1."""
     pts = []
     for v in S:
         v = canonical(v, P)
         for u in (v, omega(v, P), omega_inv(v, P)):
             if isinstance(u, Euclid):
                 pts.append(u)
-    pad = P.p + P.q
+    pad = periods * (P.p + P.q)
     if pts:
         x_lo, x_hi = min(u.x for u in pts), max(u.x for u in pts)
         y_lo, y_hi = min(u.y for u in pts), max(u.y for u in pts)
     else:
         x_lo = x_hi = y_lo = y_hi = 0
     return Window(P, x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad,
-                  max(P.p, P.q) - 1)
+                  periods * max(P.p, P.q) - 1)
 
 
 @dataclass(frozen=True)

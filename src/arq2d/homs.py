@@ -9,17 +9,32 @@ Supports and bi-perps are reported as regions.  A region answers membership
 with O(1) integer arithmetic; set-level images under omega / omega^{-1} are
 computed symbolically so left supports come from right supports by duality
 (Hom(Y,X) != 0 iff Hom(X, omega Y) != 0).
+
+A set with a Euclidean member has a finite bi-perp, read from one
+orthogonality table per anchor band, keyed by (Params, ax) with ax the x
+of the set's first Euclidean member in vertex_sort_key order.  The band is
+every canonical Euclidean vertex with ax-p <= x <= ax+p on both components
+plus every brick-candidate tube vertex; it holds each brick candidate
+orthogonal to that member.  A table decides a pair only when a query first
+needs it and records the answer for both members of the pair, so a cold
+table makes no more Hom calls than a direct filter.  An LRU cache keeps the
+_BAND_TABLES (128) most recently used tables.  ortho's maximality, witness
+pools and anchored clique search read the same tables.  The oracle never
+reads them: it re-derives everything from the Hom predicate.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 from .model import (
+    DomainError,
     Euclid,
     Params,
     Tube,
     Vertex,
+    box_shifts,
     canonical,
     ceil_div,
     format_vertex,
@@ -164,9 +179,8 @@ class Rectangle:
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
             return False
-        lo = max(ceil_div(v.x - self.x_hi, P.p), ceil_div(self.y_lo - v.y, P.q))
-        hi = min((v.x - self.x_lo) // P.p, (self.y_hi - v.y) // P.q)
-        return lo <= hi
+        return bool(box_shifts(P, v.x, v.y, self.x_lo, self.x_hi, self.y_lo,
+                               self.y_hi))
 
     def describe(self, P):
         return {
@@ -499,6 +513,109 @@ def lsupp(X: Vertex, P: Params) -> SupportReport:
 
 
 # ---------------------------------------------------------------------------
+# orthogonality tables per anchor band
+
+
+def _orthogonal_pair(a: Vertex, b: Vertex, P: Params) -> bool:
+    return not stable_hom_nonzero(a, b, P) and not stable_hom_nonzero(b, a, P)
+
+
+_BAND_TABLES = 128
+
+
+class _Band:
+    """Orthogonality table of one anchor band (see the module docstring).
+
+    cand lists the band's brick candidates in vertex_sort_key order and bit
+    i of every mask stands for cand[i].  known[i] marks the pairs (i, j)
+    already decided and ortho[i] the orthogonal ones among them; both grow
+    on demand and stay symmetric.
+    """
+
+    def __init__(self, P: Params, ax: int):
+        cand = [Euclid(comp, x, y) for comp in (0, 1)
+                for x in range(ax - P.p, ax + P.p + 1) for y in range(P.q)]
+        for family in ("U", "P"):
+            rank = P.rank(family)
+            cand += [Tube(family, level, idx, ht) for level in (0, 1)
+                     for idx in range(rank) for ht in range(rank - 1)]
+        cand.sort(key=vertex_sort_key)
+        self.P = P
+        self.cand = cand
+        self.index = {v: i for i, v in enumerate(cand)}
+        self.part_bits = dict.fromkeys(PART_NAMES, 0)
+        for i, v in enumerate(cand):
+            self.part_bits[part_of(v)] |= 1 << i
+        self.known = [1 << i for i in range(len(cand))]
+        self.ortho = [0] * len(cand)
+
+    def row(self, i: int, mask: int) -> int:
+        """Decide every pair (i, j) with j in mask; return i's orthogonal bits."""
+        todo = mask & ~self.known[i]
+        if todo:
+            known, ortho, cand, bit = self.known, self.ortho, self.cand, 1 << i
+            v = cand[i]
+            known[i] |= todo
+            while todo:
+                low = todo & -todo
+                j = low.bit_length() - 1
+                known[j] |= bit
+                if _orthogonal_pair(cand[j], v, self.P):
+                    ortho[i] |= low
+                    ortho[j] |= bit
+                todo ^= low
+        return self.ortho[i]
+
+
+@functools.lru_cache(maxsize=_BAND_TABLES)
+def _band(P: Params, ax: int) -> _Band:
+    return _Band(P, ax)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _witnesses(vs, P: Params, parts):
+    """(band, witness mask) of a canonical set; (None, 0) without a
+    Euclidean member.
+
+    Members are applied in order and each decides only the candidates that
+    survived the members before it, the pairs a direct filter would test.
+    A member outside the band gets a row computed for this call only.
+    """
+    anchors = [v for v in vs if isinstance(v, Euclid)]
+    if not anchors:
+        return None, 0
+    if parts is None:
+        parts = PART_NAMES
+    unknown = sorted(set(parts) - set(PART_NAMES))
+    if unknown:
+        raise DomainError("unknown part %s; valid parts are %s"
+                          % (", ".join(unknown), ", ".join(PART_NAMES)))
+    band = _band(P, anchors[0].x)
+    mask = 0
+    for name in parts:
+        mask |= band.part_bits[name]
+    for v in vs:
+        if v in band.index:
+            mask &= ~(1 << band.index[v])
+    for v in vs:
+        if not mask:
+            break
+        i = band.index.get(v)
+        if i is not None:
+            mask &= band.row(i, mask)
+        else:
+            mask = sum(1 << j for j in _bits(mask)
+                       if _orthogonal_pair(band.cand[j], v, P))
+    return band, mask
+
+
+# ---------------------------------------------------------------------------
 # bi-perpendicular categories
 
 
@@ -547,28 +664,6 @@ def _biperp_single(X: Vertex, P: Params) -> SupportReport:
     return _biperp_single_base(X, P)
 
 
-def _euclid_box_points(comp, x_lo, x_hi, y_lo, y_hi):
-    for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            yield Euclid(comp, x, y)
-
-
-def _triangle_points(family, level, idx, apex_ht):
-    for ht in range(0, apex_ht + 1):
-        for i in range(idx, idx + apex_ht - ht + 1):
-            yield Tube(family, level, i, ht)
-
-
-def _biperp_candidates(M: Euclid, P: Params):
-    """Finite superset of biperp({M}) for a canonical comp-0 vertex M."""
-    a, b = M.x, M.y
-    yield from _euclid_box_points(0, a - P.p + 1, a - 1, b + 1, b + P.q - 1)
-    yield from _euclid_box_points(1, a - P.p + 1, a, b + 1, b + P.q)
-    for level in (0, 1):
-        yield from _triangle_points("U", level, b + 1, P.q - 2)
-        yield from _triangle_points("P", level, a + 1, P.p - 2)
-
-
 def biperp(S, P: Params) -> SupportReport:
     """Bi-perpendicular category of a finite set: vertices with no nonzero
     stable Hom to or from any member of S."""
@@ -578,30 +673,18 @@ def biperp(S, P: Params) -> SupportReport:
         return SupportReport(P, parts, True)
     if len(members) == 1:
         return _biperp_single(members[0], P)
-    euclids = [m for m in members if isinstance(m, Euclid)]
-    if not euclids:
+    band, mask = _witnesses(members, P, None)
+    if band is None:
         singles = [_biperp_single(m, P) for m in members]
         parts = {
             name: Intersection(tuple(s.parts[name] for s in singles))
             for name in PART_NAMES
         }
         return SupportReport(P, parts, True)
-    # a Euclidean member makes every part finite: enumerate and filter
-    M = euclids[0]
-    if M.comp == 1:
-        # conjugate the whole problem so the pivot sits on comp 0
-        inner = biperp([omega(m, P) for m in members], P)
-        return _transport(inner, omega_inv_region)
-    hits = {name: set() for name in PART_NAMES}
-    for cand in _biperp_candidates(M, P):
-        cv = canonical(cand, P)
-        if all(
-            not stable_hom_nonzero(m, cv, P) and not stable_hom_nonzero(cv, m, P)
-            for m in members
-        ):
-            hits[part_of(cv)].add(cv)
-    parts = {
-        name: FiniteSet(frozenset(vs)) if vs else EMPTY
-        for name, vs in hits.items()
-    }
+    # a Euclidean member confines the bi-perp to its band: read the table
+    parts = {}
+    for name in PART_NAMES:
+        bits = mask & band.part_bits[name]
+        parts[name] = (FiniteSet(frozenset(band.cand[i] for i in _bits(bits)))
+                       if bits else EMPTY)
     return SupportReport(P, parts, False)

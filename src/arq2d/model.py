@@ -152,6 +152,15 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def box_shifts(P: Params, x: int, y: int, x_lo: int, x_hi: int, y_lo: int,
+               y_hi: int) -> range:
+    """The shifts l that put (x - p*l, y + q*l) in the box
+    [x_lo, x_hi] x [y_lo, y_hi]; empty when the box is."""
+    lo = max(ceil_div(x - x_hi, P.p), ceil_div(y_lo - y, P.q))
+    hi = min((x - x_lo) // P.p, (y_hi - y) // P.q)
+    return range(lo, hi + 1)
+
+
 @dataclass(frozen=True)
 class Window:
     """A finite slice of the quiver: the raw box [x_lo, x_hi] x [y_lo, y_hi]
@@ -183,9 +192,9 @@ class Window:
     def lifts(self, v: Euclid) -> list[tuple[int, int]]:
         """The raw (x, y) representatives of v's shift class in the box."""
         p, q = self.P.p, self.P.q
-        lo = max(ceil_div(v.x - self.x_hi, p), ceil_div(self.y_lo - v.y, q))
-        hi = min((v.x - self.x_lo) // p, (self.y_hi - v.y) // q)
-        return [(v.x - p * l, v.y + q * l) for l in range(lo, hi + 1)]
+        shifts = box_shifts(self.P, v.x, v.y, self.x_lo, self.x_hi,
+                            self.y_lo, self.y_hi)
+        return [(v.x - p * l, v.y + q * l) for l in shifts]
 
     def contains(self, v: Vertex) -> bool:
         if isinstance(v, Euclid):

@@ -7,21 +7,14 @@ compatibility graph.  Witness pools for maximality are finite only when the
 system pins down a Euclidean band, hence the NoEuclideanMember precondition
 on the extension search.
 
-Maximality and the anchored clique search read one orthogonality table per
-anchor band, keyed by (Params, ax) with ax the x of the set's first
-Euclidean member in vertex_sort_key order.  The band is every canonical
-Euclidean vertex with ax-p <= x <= ax+p on both components plus every
-brick-candidate tube vertex; it holds each brick candidate orthogonal to
-that member.  A table decides a pair only when a query first needs it and
-records the answer for both members of the pair, so a cold table makes no
-more Hom calls than a direct filter.  An LRU cache keeps the _BAND_TABLES
-(128) most recently used tables.  The oracle never reads them: it
-re-derives everything from the Hom predicate.
+Maximality, witness pools and the anchored clique search read the
+orthogonality table of the set's anchor band, which homs owns (see its
+docstring); the bi-perp of a set with a Euclidean member is read from the
+same table.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .model import (
@@ -36,15 +29,11 @@ from .model import (
     is_brick_candidate,
     vertex_sort_key,
 )
-from .homs import PART_NAMES, part_of, stable_hom_nonzero
+from .homs import _bits, _orthogonal_pair, _witnesses
 
 
 class NoEuclideanMember(DomainError):
     """Raised when an unbounded witness pool would be required."""
-
-
-def _orthogonal_pair(a: Vertex, b: Vertex, P: Params) -> bool:
-    return not stable_hom_nonzero(a, b, P) and not stable_hom_nonzero(b, a, P)
 
 
 def _canonical_set(S, P: Params) -> list[Vertex]:
@@ -91,101 +80,6 @@ class MaximalityReport:
     is_maximal: bool
     witnesses: tuple[Vertex, ...]
     homogeneous_blocked: bool
-
-
-_BAND_TABLES = 128
-
-
-class _Band:
-    """Orthogonality table of one anchor band (see the module docstring).
-
-    cand lists the band's brick candidates in vertex_sort_key order and bit
-    i of every mask stands for cand[i].  known[i] marks the pairs (i, j)
-    already decided and ortho[i] the orthogonal ones among them; both grow
-    on demand and stay symmetric.
-    """
-
-    def __init__(self, P: Params, ax: int):
-        cand = [Euclid(comp, x, y) for comp in (0, 1)
-                for x in range(ax - P.p, ax + P.p + 1) for y in range(P.q)]
-        for family in ("U", "P"):
-            rank = P.rank(family)
-            cand += [Tube(family, level, idx, ht) for level in (0, 1)
-                     for idx in range(rank) for ht in range(rank - 1)]
-        cand.sort(key=vertex_sort_key)
-        self.P = P
-        self.cand = cand
-        self.index = {v: i for i, v in enumerate(cand)}
-        self.part_bits = dict.fromkeys(PART_NAMES, 0)
-        for i, v in enumerate(cand):
-            self.part_bits[part_of(v)] |= 1 << i
-        self.known = [1 << i for i in range(len(cand))]
-        self.ortho = [0] * len(cand)
-
-    def row(self, i: int, mask: int) -> int:
-        """Decide every pair (i, j) with j in mask; return i's orthogonal bits."""
-        todo = mask & ~self.known[i]
-        if todo:
-            known, ortho, cand, bit = self.known, self.ortho, self.cand, 1 << i
-            v = cand[i]
-            known[i] |= todo
-            while todo:
-                low = todo & -todo
-                j = low.bit_length() - 1
-                known[j] |= bit
-                if _orthogonal_pair(cand[j], v, self.P):
-                    ortho[i] |= low
-                    ortho[j] |= bit
-                todo ^= low
-        return self.ortho[i]
-
-
-@functools.lru_cache(maxsize=_BAND_TABLES)
-def _band(P: Params, ax: int) -> _Band:
-    return _Band(P, ax)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _witnesses(vs, P: Params, parts):
-    """(band, witness mask) of a canonical set; (None, 0) without a
-    Euclidean member.
-
-    Members are applied in order and each decides only the candidates that
-    survived the members before it, the pairs a direct filter would test.
-    A member outside the band gets a row computed for this call only.
-    """
-    anchors = [v for v in vs if isinstance(v, Euclid)]
-    if not anchors:
-        return None, 0
-    if parts is None:
-        parts = PART_NAMES
-    unknown = sorted(set(parts) - set(PART_NAMES))
-    if unknown:
-        raise DomainError("unknown part %s; valid parts are %s"
-                          % (", ".join(unknown), ", ".join(PART_NAMES)))
-    band = _band(P, anchors[0].x)
-    mask = 0
-    for name in parts:
-        mask |= band.part_bits[name]
-    for v in vs:
-        if v in band.index:
-            mask &= ~(1 << band.index[v])
-    for v in vs:
-        if not mask:
-            break
-        i = band.index.get(v)
-        if i is not None:
-            mask &= band.row(i, mask)
-        else:
-            mask = sum(1 << j for j in _bits(mask)
-                       if _orthogonal_pair(band.cand[j], v, P))
-    return band, mask
 
 
 def witness_pool(S, P: Params, parts=None) -> list[Vertex]:

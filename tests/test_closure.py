@@ -66,6 +66,17 @@ class TestWindow:
         assert w.contains(Tube("U", 0, 0, 1))
         assert not w.contains(Tube("U", 0, 0, 2))
 
+    @pytest.mark.parametrize("periods,box,derived", [
+        (2, (-14, 15, -12, 14, 5), 396),
+        (3, (-20, 21, -18, 20, 8), 576),
+    ])
+    def test_default_window_periods_pin(self, periods, box, derived):
+        # recorded from the CLI's hand-padded window before default_window
+        # took a periods argument
+        w = default_window(FLAGSHIP, P33, periods)
+        assert w == Window(P33, *box)
+        assert certify_sms(FLAGSHIP, P33, w)["derived"] == derived
+
     def test_default_window_covers_seed_shifts(self):
         w = default_window(FLAGSHIP, P33)
         from arq2d.model import omega

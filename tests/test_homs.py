@@ -1,11 +1,15 @@
 """Stable Hom predicate and the region calculus behind supports."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 from conftest import param_vertex_pair
+from arq2d import homs
 from arq2d.homs import (
     PART_NAMES,
+    FiniteSet,
     biperp,
     lsupp,
     omega_inv_region,
@@ -23,8 +27,9 @@ from arq2d.model import (
     omega,
     omega_inv,
     tau,
+    vertex_sort_key,
 )
-from arq2d.oracle import WindowSpec, brute_biperp
+from arq2d.oracle import WindowSpec, brute_biperp, mutually_orthogonal
 
 
 def quasi_simples(P):
@@ -174,14 +179,61 @@ class TestRegionCoherence:
                         assert inv.contains(Y, P) == r.contains(omega(Y, P), P)
                         assert fwd.contains(Y, P) == r.contains(omega_inv(Y, P), P)
 
-    def test_biperp_window_equals_brute(self):
-        P = Params(2, 3)
-        window = WindowSpec.periods(P, 2)
-        members = [Euclid(0, 0, 0), Tube("U", 1, 1, 0)]
-        rep = biperp(members, P)
-        expected = set(brute_biperp(members, window))
-        got = {v for v in window.vertices() if rep.contains(v)}
-        assert got == expected
+    @pytest.mark.parametrize("p,q", [(2, 3), (1, 3), (2, 2), (2, 5), (3, 4),
+                                     (4, 3), (5, 5)])
+    def test_biperp_window_equals_brute(self, p, q):
+        """Sets with a Euclidean member read their bi-perp from the anchor
+        band's table; it must agree with a brute-force sweep of a window
+        around the band whatever filled the table, cold and then warm."""
+        P = Params(p, q)
+        sets = _random_biperp_sets(random.Random(100 * p + q), P)
+        homs._band.cache_clear()
+        answers = [[biperp(S, P) for S in sets] for _ in ("cold", "warm")]
+        assert [r.to_json() for r in answers[0]] == \
+            [r.to_json() for r in answers[1]]
+        for S, rep in zip(sets, answers[0]):
+            ax = min((canonical(v, P) for v in S if isinstance(v, Euclid)),
+                     key=vertex_sort_key).x
+            window = WindowSpec(P, ax - 2 * p, ax + 2 * p, -q, 2 * q - 1,
+                                max(p, q))
+            expected = set(brute_biperp(S, window))
+            got = {v for v in window.vertices() if rep.contains(v)}
+            assert got == expected, S
+            for region in rep.parts.values():
+                if isinstance(region, FiniteSet):
+                    assert all(window.contains(v) for v in region.vertices), S
+
+
+def _random_biperp_sets(rng, P):
+    """Multi-member sets: {E(0,0,0), TU(1,1,0)}, orthogonal sets grown
+    greedily with the first Euclidean member on comp 0 and on comp 1,
+    random (mostly non-orthogonal) sets, and sets with a member outside
+    the anchor band or a tube member above the brick cap."""
+
+    def vertex(comps=(0, 1)):
+        if rng.random() < 0.6:
+            return Euclid(rng.choice(comps), rng.randrange(-2 * P.p, 2 * P.p),
+                          rng.randrange(-P.q, 2 * P.q))
+        f = rng.choice("UP")
+        r = P.rank(f)
+        return Tube(f, rng.randrange(2), rng.randrange(-r, 2 * r),
+                    rng.randrange(r + 1))
+
+    sets = [[Euclid(0, 0, 0), Tube("U", 1, 1, 0)]]
+    for comps in ((0, 1), (1,)) * 3:
+        S = [canonical(Euclid(comps[0], rng.randrange(P.p), 0), P)]
+        for _ in range(12):
+            v = canonical(vertex(comps), P)
+            if v not in S and all(mutually_orthogonal(v, u, P) for u in S):
+                S.append(v)
+        sets.append(S)
+    sets += [[vertex() for _ in range(rng.randint(2, 5))] for _ in range(6)]
+    sets += [[Euclid(1, 0, 1), vertex((1,))] for _ in range(2)]
+    sets.append([Euclid(0, 0, 0), Euclid(0, 3 * P.p, 0), Euclid(1, -3 * P.p, 1)])
+    sets.append([Euclid(1, 0, 0), Tube("U", 0, 0, P.q - 1), Tube("P", 1, 0, P.p)])
+    return [S for S in sets
+            if len({canonical(v, P) for v in S}) > 1
+            and any(isinstance(v, Euclid) for v in S)]
 
 
 class TestSingleBrickBiperpShape:

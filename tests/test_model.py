@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import arq2d
 from conftest import param_vertex, params_strategy
+from arq2d.homs import Rectangle
 from arq2d.model import (
     DomainError,
     Euclid,
@@ -177,6 +178,24 @@ class TestWindow:
         assert w.contains(v) == bool(scan)
         assert w.contains(canonical(v, P)) == bool(scan)
 
+    @given(param_vertex(), st.integers(-8, 8), st.integers(-1, 12),
+           st.integers(-8, 8), st.integers(-1, 12))
+    @example((Params(1, 3), Euclid(0, 0, 1)), 0, 0, 1, 2)
+    @example((Params(3, 1), Euclid(1, 0, 1)), 1, 2, 1, 0)
+    def test_rectangle_matches_lattice_scan(self, pv, x_lo, width, y_lo, height):
+        # width or height 0 or -1 gives an empty rectangle, as the single
+        # bi-perp has at p = 1 or q = 1
+        P, v = pv
+        rect = Rectangle(0, x_lo, x_lo + width - 1, y_lo, y_lo + height - 1)
+        if isinstance(v, Tube):
+            assert not rect.contains(v, P)
+            return
+        scan = [(v.x - P.p * l, v.y + P.q * l) for l in range(-40, 41)]
+        hit = any(rect.x_lo <= x <= rect.x_hi and rect.y_lo <= y <= rect.y_hi
+                  for x, y in scan)
+        assert rect.contains(v, P) == (hit and v.comp == 0)
+        assert rect.contains(canonical(v, P), P) == (hit and v.comp == 0)
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_periods_below_one_rejected(self, n):
         with pytest.raises(DomainError):
@@ -213,6 +232,11 @@ class TestImportBoundary:
             assert module in ("model", "homs"), module
             if module == "homs":
                 assert names <= {"part_of", "stable_hom_nonzero"}, names
+
+    def test_homs_imports_only_the_model(self):
+        # the band tables live in homs, and ortho reads them from there
+        assert {module for module, _ in
+                _package_imports(SRC / "homs.py")} == {"model"}
 
     def test_only_cli_uses_the_oracle(self):
         for path in sorted(SRC.glob("*.py")):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arq2d
-from arq2d import ortho
+from arq2d import homs
 from arq2d.closure import extract_params
 from arq2d.homs import PART_NAMES, part_of
 from arq2d.model import (
@@ -299,7 +299,7 @@ class TestBandTable:
                    for c in itertools.combinations(PART_NAMES, k)]
         queries = [(i, parts) for i in range(len(seeds)) for parts in subsets]
         naive = [_naive_pool(S, P) for S in seeds]
-        ortho._band.cache_clear()
+        homs._band.cache_clear()
         answers = []
         for _ in ("cold", "warm"):
             rng.shuffle(queries)
@@ -323,7 +323,7 @@ class TestBandTable:
                              if isinstance(v, Euclid)), key=vertex_sort_key)
             if not euclid:
                 continue
-            band = ortho._band(P, euclid[0].x)
+            band = homs._band(P, euclid[0].x)
             for i, j in itertools.combinations(range(len(band.cand)), 2):
                 if band.known[i] >> j & 1:
                     assert band.known[j] >> i & 1
