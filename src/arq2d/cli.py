@@ -130,8 +130,11 @@ def _cmd_enumerate_max(args) -> int:
     P = _params(args)
     seed = _load_set(args.set)
     parts = None
-    if args.parts:
+    if args.parts is not None:
         parts = frozenset(args.parts.split(","))
+        if "" in parts:
+            raise DomainError("--parts takes a comma list of part names "
+                              "(got %r)" % args.parts)
     systems = ortho.maximal_systems_containing(seed, P, parts=parts)
     doc = ortho.enumeration_report(systems, include_systems=True)
     print(_emit(doc, args))

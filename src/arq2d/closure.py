@@ -29,7 +29,8 @@ from .model import (
     vertex_sort_key,
 )
 from .homs import QuasiCone
-from .ortho import NoEuclideanMember, maximality, witness_pool
+from .ortho import (NoEuclideanMember, is_orthogonal_system, maximality,
+                    witness_pool)
 
 
 class WindowTooSmall(DomainError):
@@ -437,6 +438,8 @@ def trace_json_lines(trace):
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:
     vs = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
+    if not is_orthogonal_system(vs, P):
+        raise DomainError("set is not an orthogonal system of bricks")
     has_euclid = any(isinstance(v, Euclid) for v in vs)
     if window is None:
         window = default_window(vs, P)
@@ -477,6 +480,8 @@ def extract_params(S, P: Params) -> dict:
     vs = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
     if not any(isinstance(v, Euclid) for v in vs):
         raise NoEuclideanMember("parameter extraction needs a Euclidean part")
+    if not is_orthogonal_system(vs, P):
+        raise DomainError("set is not an orthogonal system of bricks")
     report = maximality(vs, P)
     if not report.is_maximal:
         raise NotMaximal("witnesses remain: %s" %

@@ -18,9 +18,10 @@ plus every brick-candidate tube vertex; it holds each brick candidate
 orthogonal to that member.  A table decides a pair only when a query first
 needs it and records the answer for both members of the pair, so a cold
 table makes no more Hom calls than a direct filter.  An LRU cache keeps the
-_BAND_TABLES (128) most recently used tables.  ortho's maximality, witness
-pools and anchored clique search read the same tables.  The oracle never
-reads them: it re-derives everything from the Hom predicate.
+_BAND_TABLES (128) most recently used tables.  ortho answers every
+orthogonality question from these tables, so outside this module only the
+oracle calls the Hom predicate: it re-derives everything from it and never
+reads a table.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .model import (
     ceil_div,
     format_vertex,
     omega,
-    omega_inv,
     vertex_sort_key,
 )
 
@@ -389,7 +389,7 @@ def _triangle_or_empty(family, level, idx, apex_ht):
 
 
 # ---------------------------------------------------------------------------
-# symbolic omega images of regions
+# symbolic omega^{-1} images of regions
 
 
 def _shifted(value, d):
@@ -400,47 +400,26 @@ def _shifted(value, d):
     return value + d
 
 
-def _shift_region(r, d_from_0: int, d_from_1: int):
-    """A coordinate region moved to its partner part: comp / level flips and
-    every field named in r._moving gains d, which is d_from_0 from comp 0 /
-    level 0 and d_from_1 from comp 1 / level 1.  Heights such as
-    TriangleArea.apex_ht do not move."""
+def omega_inv_region(r, P: Params):
+    """The set omega^{-1}(r).  Parts swap: comp 0 -> comp 1 shifts (x,y) by
+    (+1,+1), comp 1 -> comp 0 is the identity; tube level 0 -> 1 shifts the
+    index by +1, level 1 -> 0 is the identity.  A coordinate region shifts
+    every field named in its _moving; heights such as TriangleArea.apex_ht
+    do not move."""
+    if isinstance(r, Empty):
+        return r
+    if isinstance(r, All):
+        return All(PART_SWAP[r.part])
+    if isinstance(r, Union):
+        return Union(tuple(omega_inv_region(m, P) for m in r.members))
     moving = getattr(type(r), "_moving", None)
     if moving is None:
         raise TypeError("unknown region %r" % (r,))
     side = "comp" if hasattr(r, "comp") else "level"
-    d = d_from_1 if getattr(r, side) else d_from_0
+    d = 0 if getattr(r, side) else 1
     changes = {name: _shifted(getattr(r, name), d) for name in moving}
     changes[side] = 1 - getattr(r, side)
     return replace(r, **changes)
-
-
-def omega_inv_region(r, P: Params):
-    """The set omega^{-1}(r).  Parts swap: comp 0 -> comp 1 shifts (x,y) by
-    (+1,+1), comp 1 -> comp 0 is the identity; tube level 0 -> 1 shifts the
-    index by +1, level 1 -> 0 is the identity."""
-    if isinstance(r, Empty):
-        return r
-    if isinstance(r, All):
-        return All(PART_SWAP[r.part])
-    if isinstance(r, FiniteSet):
-        return FiniteSet(frozenset(omega_inv(v, P) for v in r.vertices))
-    if isinstance(r, (Union, Intersection)):
-        return type(r)(tuple(omega_inv_region(m, P) for m in r.members))
-    return _shift_region(r, 1, 0)
-
-
-def omega_region(r, P: Params):
-    """The set omega(r); inverse of omega_inv_region."""
-    if isinstance(r, Empty):
-        return r
-    if isinstance(r, All):
-        return All(PART_SWAP[r.part])
-    if isinstance(r, FiniteSet):
-        return FiniteSet(frozenset(omega(v, P) for v in r.vertices))
-    if isinstance(r, (Union, Intersection)):
-        return type(r)(tuple(omega_region(m, P) for m in r.members))
-    return _shift_region(r, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +566,15 @@ def _witnesses(vs, P: Params, parts):
     survived the members before it, the pairs a direct filter would test.
     A member outside the band gets a row computed for this call only.
     """
-    anchors = [v for v in vs if isinstance(v, Euclid)]
-    if not anchors:
-        return None, 0
     if parts is None:
         parts = PART_NAMES
     unknown = sorted(set(parts) - set(PART_NAMES))
     if unknown:
         raise DomainError("unknown part %s; valid parts are %s"
                           % (", ".join(unknown), ", ".join(PART_NAMES)))
+    anchors = [v for v in vs if isinstance(v, Euclid)]
+    if not anchors:
+        return None, 0
     band = _band(P, anchors[0].x)
     mask = 0
     for name in parts:

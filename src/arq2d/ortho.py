@@ -7,10 +7,10 @@ compatibility graph.  Witness pools for maximality are finite only when the
 system pins down a Euclidean band, hence the NoEuclideanMember precondition
 on the extension search.
 
-Maximality, witness pools and the anchored clique search read the
-orthogonality table of the set's anchor band, which homs owns (see its
-docstring); the bi-perp of a set with a Euclidean member is read from the
-same table.
+Every orthogonality question here, from the system predicate to the
+anchored, triangle and paired clique searches, reads an anchor band's
+orthogonality table, which homs owns (see its docstring).  Every band holds
+every tube brick, so tube-only sets and tube pools read the band at x = 0.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     is_brick_candidate,
     vertex_sort_key,
 )
-from .homs import _bits, _orthogonal_pair, _witnesses
+from .homs import _band, _bits, _witnesses
 
 
 class NoEuclideanMember(DomainError):
@@ -41,14 +41,19 @@ def _canonical_set(S, P: Params) -> list[Vertex]:
 
 
 def is_orthogonal_system(S, P: Params) -> bool:
+    """Bricks with no nonzero stable Hom between distinct members, read
+    from the band table of the first Euclidean member (x = 0 if none).  No
+    Euclidean vertex off that band is orthogonal to that member."""
     vs = _canonical_set(S, P)
     if not all(is_brick_candidate(v, P) for v in vs):
         return False
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if not _orthogonal_pair(a, b, P):
-                return False
-    return True
+    band = _band(P, next((v.x for v in vs if isinstance(v, Euclid)), 0))
+    bits = [band.index.get(v) for v in vs]
+    if None in bits:
+        return False
+    members = sum(1 << i for i in bits)
+    return all(band.row(i, members) & members == members ^ (1 << i)
+               for i in bits)
 
 
 def euclidean_ortho_check(members, P: Params) -> bool:
@@ -144,24 +149,24 @@ def _cliques(adj, cand: int) -> list[list[int]]:
     return out
 
 
-def _maximal_cliques(pool, P: Params) -> list[list[Vertex]]:
-    """Maximal cliques of the orthogonality graph on pool, in no set order."""
-    n = len(pool)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _orthogonal_pair(pool[i], pool[j], P):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return [[pool[i] for i in c] for c in _cliques(adj, (1 << n) - 1)]
+def _maximal(band, pool: int, seed) -> list[list[Vertex]]:
+    """Maximal cliques of the band table's orthogonality graph on the pool
+    mask, each joined with the seed's bit indices, in canonical order: bit
+    order is vertex_sort_key order, so sorted index tuples are."""
+    adj = [0] * len(band.cand)
+    # highest bit first: on a cold table each pair is then decided as
+    # _orthogonal_pair(lower, higher), which fixes the cold Hom-call count
+    for i in sorted(_bits(pool), reverse=True):
+        adj[i] = band.row(i, pool) & pool
+    systems = sorted(tuple(sorted(seed + c)) for c in _cliques(adj, pool))
+    return [[band.cand[i] for i in s] for s in systems]
 
 
 def maximal_systems_containing(S, P: Params, parts=None):
     """All maximal orthogonal systems containing S, canonical order.
 
-    The search runs on the band table's bit indices.  Every member of an
-    orthogonal seed lies in the band, and bit order is vertex_sort_key
-    order, so sorted index tuples are the canonical order.
+    The search runs on the band table's bit indices; every member of an
+    orthogonal seed lies in the band.
     """
     vs = _canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):
@@ -172,15 +177,7 @@ def maximal_systems_containing(S, P: Params, parts=None):
     band, pool = _witnesses(vs, P, parts)
     if not pool:
         return [vs]
-    adj = [0] * len(band.cand)
-    # highest bit first: on a cold table each pair is then decided as
-    # _orthogonal_pair(lower, higher), the same Hom calls _maximal_cliques
-    # makes on a list
-    for i in sorted(_bits(pool), reverse=True):
-        adj[i] = band.row(i, pool) & pool
-    seed = [band.index[v] for v in vs]
-    systems = sorted(tuple(sorted(seed + c)) for c in _cliques(adj, pool))
-    return [[band.cand[i] for i in s] for s in systems]
+    return _maximal(band, pool, [band.index[v] for v in vs])
 
 
 def triangle_pool(family, level, idx, height, P: Params) -> list[Tube]:
@@ -211,28 +208,35 @@ def paired_pool(family, kind, idx, height, P: Params) -> list[Tube]:
     return sorted(set(lo) | set(hi), key=vertex_sort_key)
 
 
-def _all_systems(pool, P: Params):
+def _all_systems(band, pool: int) -> list[list[Vertex]]:
+    """Every orthogonal subset of the pool mask, depth first in bit order."""
     out = []
 
-    def extend(prefix, start):
-        for i in range(start, len(pool)):
-            v = pool[i]
-            if all(_orthogonal_pair(v, u, P) for u in prefix):
-                prefix.append(v)
-                out.append(list(prefix))
-                extend(prefix, i + 1)
-                prefix.pop()
+    def extend(prefix, cand):
+        while cand:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            cand ^= low
+            prefix.append(band.cand[i])
+            out.append(list(prefix))
+            extend(prefix, cand & band.row(i, cand))
+            prefix.pop()
 
-    extend([], 0)
+    extend([], pool)
     return out
 
 
-def _maximal_systems(pool, P: Params):
-    """Each maximal clique on pool, in canonical order."""
-    systems = [sorted(c, key=vertex_sort_key)
-               for c in _maximal_cliques(pool, P)]
-    systems.sort(key=lambda s: [vertex_sort_key(v) for v in s])
-    return systems
+def _enumerate_on(pool_fn, family, arg, idx, height, P: Params,
+                  maximal_only: bool):
+    if height <= -1:
+        return []
+    band = _band(P, 0)  # every band holds every tube brick
+    pool = 0
+    for v in pool_fn(family, arg, idx, height, P):
+        pool |= 1 << band.index[v]
+    if maximal_only:
+        return _maximal(band, pool, [])
+    return _all_systems(band, pool)
 
 
 def enumerate_ortho_on_triangle(family, level, idx, height, P: Params,
@@ -241,22 +245,14 @@ def enumerate_ortho_on_triangle(family, level, idx, height, P: Params,
 
     height -1 denotes the empty triangle and yields no systems.
     """
-    if height <= -1:
-        return []
-    pool = triangle_pool(family, level, idx, height, P)
-    if maximal_only:
-        return _maximal_systems(pool, P)
-    return _all_systems(pool, P)
+    return _enumerate_on(triangle_pool, family, level, idx, height, P,
+                         maximal_only)
 
 
 def enumerate_ortho_on_paired(family, kind, idx, height, P: Params,
                               maximal_only: bool = False):
-    if height <= -1:
-        return []
-    pool = paired_pool(family, kind, idx, height, P)
-    if maximal_only:
-        return _maximal_systems(pool, P)
-    return _all_systems(pool, P)
+    return _enumerate_on(paired_pool, family, kind, idx, height, P,
+                         maximal_only)
 
 
 def quasi_simple_chain_shape(W, segment, P: Params) -> bool:

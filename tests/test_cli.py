@@ -130,6 +130,14 @@ class TestEnumerateMax:
         assert out == ""
         assert "zz" in err and "e0, e1, u0, u1, p0, p1" in err
 
+    @pytest.mark.parametrize("parts", ["", ",", "e0,"])
+    def test_empty_part_name_is_domain_error(self, capsys, parts):
+        code, out, err = run(capsys, "enumerate-max", "--p", "2", "--q", "2",
+                             "--set", "E(0,1,0)", "--parts", parts)
+        assert code == 1 and out == ""
+        assert err == ("error: --parts takes a comma list of part names "
+                       "(got %r)\n" % parts)
+
     def test_tube_only_seed_is_domain_error(self, capsys):
         code, _, err = run(capsys, "enumerate-max", "--p", "2", "--q", "2",
                            "--set", "TU(0,0,0)")
@@ -163,6 +171,15 @@ class TestCertifySms:
         assert doc["certified"] is False
         assert doc["maximal"] is False
         assert "corollary" not in doc
+
+    def test_non_orthogonal_set_is_domain_error(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.jsonl"
+        code, out, err = run(capsys, "certify-sms", "--p", "3", "--q", "3",
+                             "--set", self.SET + ";E(0,1,1)",
+                             "--trace", str(trace_path))
+        assert code == 1 and out == ""
+        assert err == "error: set is not an orthogonal system of bricks\n"
+        assert not trace_path.exists()
 
 
 @pytest.mark.parametrize("window", ["0", "-3"])

@@ -314,6 +314,15 @@ class TestCertification:
         assert doc["inconclusive"] is False
         assert doc["hasEuclidean"] is False
 
+    @pytest.mark.parametrize("S", [
+        FLAGSHIP + (Euclid(0, 1, 1),),  # Hom(E(0,1,0), E(0,1,1)) != 0
+        (Euclid(0, 1, 0), Tube("U", 0, 0, 2)),  # above the brick cap
+    ], ids=["flagship-plus-one", "non-brick"])
+    def test_non_orthogonal_set_is_domain_error(self, S):
+        with pytest.raises(DomainError,
+                           match="^set is not an orthogonal system of bricks$"):
+            certify_sms(S, P33)
+
 
 class TestParameterExtraction:
     def test_flagship_round_trip(self):
@@ -342,6 +351,13 @@ class TestParameterExtraction:
     def test_requires_euclidean_member(self):
         with pytest.raises(NoEuclideanMember):
             extract_params([Tube("U", 0, 0, 0)], P33)
+
+    def test_non_orthogonal_set_is_domain_error(self):
+        # before the check this failed late, as ParameterNotUnique
+        with pytest.raises(DomainError) as exc:
+            extract_params(FLAGSHIP + (Euclid(0, 1, 1),), P33)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "set is not an orthogonal system of bricks"
 
 
 FLAGSHIP_CANON = tuple(canonical(v, P33) for v in FLAGSHIP)

@@ -238,6 +238,14 @@ class TestImportBoundary:
         assert {module for module, _ in
                 _package_imports(SRC / "homs.py")} == {"model"}
 
+    def test_ortho_calls_no_hom_predicate(self):
+        # ortho answers every orthogonality question from the band tables;
+        # importing homs whole would hide the predicate from this check
+        for module, names in _package_imports(SRC / "ortho.py"):
+            assert module != "homs" or names, "ortho imports homs whole"
+            assert not names & {"_orthogonal_pair", "stable_hom_nonzero"}, \
+                names
+
     def test_only_cli_uses_the_oracle(self):
         for path in sorted(SRC.glob("*.py")):
             if path.name == "cli.py":

@@ -28,6 +28,7 @@ from arq2d.model import (
 )
 from arq2d.oracle import (
     WindowSpec,
+    _brute_orthogonal_subsets,
     _maximal_cliques,
     brute_biperp,
     exhaustive_max_ortho,
@@ -166,6 +167,14 @@ class TestMaximality:
         assert rep.witnesses == ()
         assert witness_pool([Tube("U", 0, 0, 0)], P) == []
 
+    def test_part_names_checked_before_tube_only_shortcut(self):
+        P = Params(2, 2)
+        for S in ([Tube("U", 0, 0, 0)], [Euclid(0, 1, 0)]):
+            with pytest.raises(DomainError, match="unknown part zz"):
+                witness_pool(S, P, ("zz",))
+            with pytest.raises(DomainError, match="unknown part zz"):
+                maximality(S, P, ("e0", "zz"))
+
     def test_full_system_is_maximal(self):
         P = Params(2, 2)
         systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
@@ -239,6 +248,25 @@ class TestAgainstOracle:
             assert {tuple(s) for s in fast} == {tuple(s) for s in slow}
             assert len(fast) == len(slow)
 
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_all_systems_on_areas(self, rank):
+        """The all-systems branch, in both families, against the oracle's
+        depth-first subsets of the same pool, order included."""
+        for family, P in (("U", Params(2, rank)), ("P", Params(rank, 2))):
+            for kind in (None, 1, 2, 3):
+                for h in range(rank - 1):
+                    for idx in (1, rank - 1):
+                        if kind is None:
+                            pool = triangle_pool(family, 0, idx, h, P)
+                            fast = enumerate_ortho_on_triangle(
+                                family, 0, idx, h, P)
+                        else:
+                            pool = paired_pool(family, kind, idx, h, P)
+                            fast = enumerate_ortho_on_paired(
+                                family, kind, idx, h, P)
+                        slow = _brute_orthogonal_subsets(pool, P)
+                        assert fast == slow, (family, kind, h, idx)
+
 
 def _naive_pool(S, P):
     """Anchor-band brick candidates orthogonal to every member of S, one
@@ -284,6 +312,53 @@ def _random_seeds(rng, P):
                   Euclid(1, -3 * P.p, 1), Tube("U", 0, 0, P.q - 1)])
     seeds.append([Tube("U", 0, 0, 0), Tube("P", 1, 1, 0)])  # tube-only
     return seeds
+
+
+def _oracle_orthogonal(S, P):
+    vs = {canonical(v, P) for v in S}
+    return all(is_brick_candidate(v, P) for v in vs) and all(
+        mutually_orthogonal(a, b, P) for a, b in itertools.combinations(vs, 2))
+
+
+class TestSystemPredicate:
+    """is_orthogonal_system reads the band table of its first Euclidean
+    member, or the band at x = 0 for a tube-only set."""
+
+    @pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (2, 5), (3, 4), (4, 3),
+                                     (5, 5)])
+    def test_against_oracle(self, p, q, monkeypatch):
+        P = Params(p, q)
+        rng = random.Random(2000 * p + q)
+        sets = [[]]
+        for _ in range(8):
+            sets += _random_seeds(rng, P)
+        for S in list(sets[1:]):
+            if len(S) > 1:  # one member moved, often breaking one pair
+                i = rng.randrange(len(S))
+                v = canonical(S[i], P)
+                moved = (Euclid(v.comp, v.x + rng.choice((-1, 1)), v.y)
+                         if isinstance(v, Euclid)
+                         else Tube(v.family, v.level, v.idx + 1, v.ht))
+                sets.append(S[:i] + [moved] + S[i + 1:])
+        # Euclidean pairs near and beyond the edge of the anchor band
+        sets += [[Euclid(0, 0, 0), Euclid(c, x, y)] for c in (0, 1)
+                 for x in range(-2 * p - 1, 2 * p + 2) for y in range(q)]
+        want = [_oracle_orthogonal(S, P) for S in sets]
+        assert True in want and False in want
+        order = list(range(len(sets)))
+        homs._band.cache_clear()
+        rng.shuffle(order)
+        cold = {i: is_orthogonal_system(sets[i], P) for i in order}
+        assert [cold[i] for i in range(len(sets))] == want
+
+        def no_hom(*args):
+            raise AssertionError("Hom call on a warm band")
+
+        # once the members' rows are warm no Hom call is needed
+        monkeypatch.setattr(homs, "stable_hom_nonzero", no_hom)
+        rng.shuffle(order)
+        warm = {i: is_orthogonal_system(sets[i], P) for i in order}
+        assert warm == cold
 
 
 class TestBandTable:
