@@ -203,10 +203,15 @@ def parse_graph(doc) -> BrauerGraph:
     return BrauerGraph(tuple(order), mult, edges, rotation)
 
 
-def _prune_to_cycle(g: BrauerGraph) -> tuple[set[str], list[str]]:
+def _prune_to_cycle(g: BrauerGraph
+                    ) -> tuple[set[str], list[str], dict[str, int]]:
     """Strip valency-one vertices repeatedly; for a unicyclic graph the
-    leftover edges are the cycle.  Returns (cycle edge ids, cycle vertices)."""
+    leftover edges are the cycle.  Returns (cycle edge ids, cycle vertices,
+    hanging sizes), where the size of a pruned edge counts the edges of the
+    tree that hangs through it, itself included."""
     deg = {v: g.valency(v) for v in g.vertices}
+    below = dict.fromkeys(g.vertices, 0)  # edges already pruned into v
+    sizes: dict[str, int] = {}
     alive = set(g.edges)
     leaves = [v for v, d in deg.items() if d == 1]
     while leaves:
@@ -215,14 +220,16 @@ def _prune_to_cycle(g: BrauerGraph) -> tuple[set[str], list[str]]:
             continue
         e = next(h[0] for h in g.rotation[v] if h[0] in alive)
         alive.discard(e)
+        sizes[e] = 1 + below[v]
         deg[v] = 0
         a, b = g.edges[e]
         u = a if b == v else b
+        below[u] += sizes[e]
         deg[u] -= 1
         if deg[u] == 1:
             leaves.append(u)
     verts = [v for v in g.vertices if deg[v] > 0]
-    return alive, verts
+    return alive, verts, sizes
 
 
 def _cycle_walk(g: BrauerGraph, cyc_edges: set[str],
@@ -255,32 +262,11 @@ def _halfedge_at(g: BrauerGraph, e: str, v: str, avoid: HalfEdge | None = None
     raise AssertionError("edge %r is not incident to %r" % (e, v))
 
 
-def _branch_size(g: BrauerGraph, cyc_edges: set[str], root: str,
-                 e: str) -> int:
-    """Edges of the hanging tree entered from cycle vertex root through e."""
-    a, b = g.edges[e]
-    far = b if a == root else a
-    seen_e = {e}
-    seen_v = {root, far}
-    stack = [far]
-    while stack:
-        u = stack.pop()
-        for e2, slot in g.rotation[u]:
-            if e2 in seen_e or e2 in cyc_edges:
-                continue
-            seen_e.add(e2)
-            w = g.edges[e2][1 - slot]
-            if w not in seen_v:
-                seen_v.add(w)
-                stack.append(w)
-    return len(seen_e)
-
-
-def _side_counts(g: BrauerGraph, cyc_edges: set[str],
+def _side_counts(g: BrauerGraph, sizes: dict[str, int],
                  walk: list[tuple[str, str]]) -> int:
     """Count tree edges hanging on side 1 of the oriented cycle: at each
-    cycle vertex the half-edges strictly between the outgoing and the
-    incoming cycle half-edge in clockwise order."""
+    cycle vertex the trees through the half-edges strictly between the
+    outgoing and the incoming cycle half-edge in clockwise order."""
     ell = len(walk)
     n1 = 0
     for i, (v, e_out) in enumerate(walk):
@@ -296,7 +282,7 @@ def _side_counts(g: BrauerGraph, cyc_edges: set[str],
         pos = (k + 1) % len(rot)
         while rot[pos] != h_in:
             h = rot[pos]
-            n1 += _branch_size(g, cyc_edges, v, h[0])
+            n1 += sizes[h[0]]
             pos = (pos + 1) % len(rot)
     return n1
 
@@ -312,10 +298,10 @@ def classify(g: BrauerGraph) -> DomesticClass:
         return DomesticClass("OutOfScope", n)
     if betti != 1 or any(g.multiplicity[v] != 1 for v in g.vertices):
         return DomesticClass("OutOfScope", n)
-    cyc_edges, cyc_verts = _prune_to_cycle(g)
+    cyc_edges, cyc_verts, sizes = _prune_to_cycle(g)
     walk = _cycle_walk(g, cyc_edges, cyc_verts)
     ell = len(walk)
-    n1 = _side_counts(g, cyc_edges, walk)
+    n1 = _side_counts(g, sizes, walk)
     n2 = n - ell - n1
     if ell % 2 == 0:
         p, q = ell // 2 + n1, ell // 2 + n2

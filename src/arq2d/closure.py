@@ -2,18 +2,19 @@
 
 Triangles are stored as (a, mids, c) meaning a -> (+)mids -> c -> shift(a)
 with shift = the inverse syzygy.  The closure engine runs three rules to a
-least fixpoint over the triangles of a finite window: extensions pull
-middle terms in (orthogonal seeds make the closure summand-closed),
-rotations pull the end terms in.  It generates triangles on demand from the
-vertices it derives; `triangle_catalog` lists them all and serves as the
-reference.  Every derivation is traced and traces replay deterministically.
+least fixpoint over the triangles of a finite window: `ext` derives the mids
+from a and c (orthogonal seeds make the closure summand-closed), `rot-right`
+derives c from the mids and Omega^-1 a, `rot-left` a from the mids and
+Omega c.  It generates triangles on demand from the vertices it derives;
+`triangle_catalog` lists them all and serves as the reference.  Every
+derivation is traced and traces replay deterministically.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .model import (
     DomainError,
@@ -23,6 +24,7 @@ from .model import (
     Vertex,
     Window,
     canonical,
+    canonical_set,
     format_vertex,
     omega,
     omega_inv,
@@ -158,7 +160,7 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
     lifts of the vertices derived so far.  Its triangles are the ones
     `triangle_catalog` lists, so it reaches the same least fixpoint.
     """
-    seeds = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
+    seeds = canonical_set(S, P)
     if window is None:
         window = default_window(seeds, P)
     for v in seeds:
@@ -168,38 +170,48 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
                                      % format_vertex(u))
     run = _Fixpoint(P, window)
     for v in seeds:
-        run.add((v.comp, v.x, v.y) if isinstance(v, Euclid)
-                else (v.family, v.level, v.idx, v.ht))
-    while run.queue:
-        v = run.queue.popleft()
-        if isinstance(v, Euclid):
-            run.pop_euclid(v)
-        else:
-            run.pop_tube(v)
+        run.add(astuple(v))
+    run.drain()
     return ClosureState(frozenset(run.in_f), tuple(run.trace), window)
 
 
-# Triangles inside the engine are raw: (family, a, mids, c) with every slot a
-# raw key, (comp, x, y) for Euclidean vertices and (family, level, idx, ht)
-# for tube vertices.  In these coordinates Omega sends (c, x, y) to
-# (1-c, x-c, y-c) and a tube (f, l, j, h) to (f, 1-l, j-l, h); its inverse
-# adds d = 1-c (or 1-l) instead, as model.omega and model.omega_inv do.
+# Triangles inside the engine are raw: (family, a, mids, c), every slot a raw
+# key, (comp, x, y) for a Euclidean vertex and (family, level, idx, ht) else.
+
+def _omega(raw):
+    """Omega of a raw key, as model.omega."""
+    if len(raw) == 3:
+        c, x, y = raw
+        return (1 - c, x - c, y - c)
+    f, l, j, h = raw
+    return (f, 1 - l, j - l, h)
+
+
+def _omega_inv(raw):
+    """Omega^-1 of a raw key, as model.omega_inv."""
+    if len(raw) == 3:
+        c, x, y = raw
+        return (1 - c, x + 1 - c, y + 1 - c)
+    f, l, j, h = raw
+    return (f, 1 - l, j + 1 - l, h)
+
 
 def _mesh_e(c, i, j, x, y):
-    """The rectangle with a at (i, j) and c at (x, y)."""
+    """The rectangle with opposite corners (i, j) and (x, y): a is the lower
+    left corner and c the upper right."""
+    i, x = (i, x) if i < x else (x, i)
+    j, y = (j, y) if j < y else (y, j)
     return ("T-mesh-E", (c, i, j), ((c, i, y), (c, x, j)), (c, x, y))
 
 
-def _t_h(c, u, v, k):
-    """Tube chain with the mid at (u, v) and c k steps along x."""
-    return ("T-H" if k == 1 else "T-H-comp", ("P", c, u, k - 1), ((c, u, v),),
-            (c, u + k, v))
-
-
-def _t_v(c, u, v, k):
-    """Tube chain with the mid at (u, v) and c k steps along y."""
-    return ("T-V" if k == 1 else "T-V-comp", ("U", c, v, k - 1), ((c, u, v),),
-            (c, u, v + k))
+def _chain(f, c, u, v, k):
+    """Tube chain with the mid at (u, v) and c k steps on: along x from the
+    rank-p tube for f = "P", along y from the rank-q tube for f = "U"."""
+    if f == "P":
+        return ("T-H" if k == 1 else "T-H-comp", (f, c, u, k - 1),
+                ((c, u, v),), (c, u + k, v))
+    return ("T-V" if k == 1 else "T-V-comp", (f, c, v, k - 1),
+            ((c, u, v),), (c, u, v + k))
 
 
 def _mesh_t(f, l, j, k):
@@ -216,6 +228,10 @@ class _Fixpoint:
     `lifted[comp]` every raw in-box lift of a derived Euclidean vertex, so a
     raw corner inside the box is tested without canonicalising it.  Vertex
     and triangle objects are built only when a rule produces a vertex.
+
+    `fire` checks every rule of one triangle.  Each tube-chain rule is
+    written once for both axes: `axes[f]` holds family f's unit step, the
+    box's bounds along it and the family's rank.
     """
 
     def __init__(self, P: Params, window: Window):
@@ -226,6 +242,8 @@ class _Fixpoint:
         self.in_f: list = []
         self.trace: list = []
         self.queue: deque = deque()
+        self.axes = {"P": (1, 0, window.x_lo, window.x_hi, P.p),
+                     "U": (0, 1, window.y_lo, window.y_hi, P.q)}
 
     def key(self, raw):
         """Canonical key of a raw key."""
@@ -249,6 +267,15 @@ class _Fixpoint:
         self.queue.append(v)
         return v
 
+    def drain(self) -> None:
+        """Pop the queue until no rule derives a new vertex."""
+        while self.queue:
+            v = self.queue.popleft()
+            if isinstance(v, Euclid):
+                self.pop_euclid(v)
+            else:
+                self.pop_tube(v)
+
     def derive(self, rule, tri, target) -> None:
         key = self.key(target)
         if key in self.have:
@@ -259,72 +286,52 @@ class _Fixpoint:
                                   vertex(c), family)
         self.trace.append((rule, t, self.add(key)))
 
-    def fire_tube_mesh(self, tri) -> None:
-        """Every rule of one T-mesh-T triangle, each checked in full."""
+    def fire(self, tri) -> None:
+        """Each rule of one triangle that can add a vertex, checked in full."""
         _, a, mids, c = tri
         have, key = self.have, self.key
-        if key(a) in have and key(c) in have:
+        has_a, has_c = key(a) in have, key(c) in have
+        if has_a and has_c:
             for m in mids:
                 self.derive("ext", tri, m)
-        if all(key(m) in have for m in mids):
-            f, l, j, h = a
-            if key((f, 1 - l, j + 1 - l, h)) in have:
-                self.derive("rot-right", tri, c)
-            f, l, j, h = c
-            if key((f, 1 - l, j - l, h)) in have:
-                self.derive("rot-left", tri, a)
+        for m in mids:
+            if key(m) not in have:
+                return
+        if not has_c and key(_omega_inv(a)) in have:
+            self.derive("rot-right", tri, c)
+        if not has_a and key(_omega(c)) in have:
+            self.derive("rot-left", tri, a)
 
     def pop_euclid(self, v: Euclid) -> None:
-        P, w, have, key = self.P, self.w, self.have, self.key
-        p, q, cap = P.p, P.q, w.tube_ht_cap
-        c = v.comp
-        d = 1 - c
+        P, w, have, key, axes = self.P, self.w, self.have, self.key, self.axes
+        cap, c, d = w.tube_ht_cap, v.comp, 1 - v.comp
         L = self.lifted[c]
         for x, y in w.lifts(v):
-            # T-mesh-E with v at a corner: a (ext with c), c (ext with a),
-            # the upper-left mid or the lower-right mid (rotations)
+            # T-mesh-E with v at a corner: a lift off its row and column is
+            # the opposite corner; fire unless the other two are lifted too
             for X, Y in list(L):
-                if X > x:
-                    if Y > y:
-                        if (x, Y) not in L or (X, y) not in L:
-                            self.ext(_mesh_e(c, x, y, X, Y))
-                    elif Y < y:
-                        if (x, Y) not in L or (X, y) not in L:
-                            self.rotate(_mesh_e(c, x, Y, X, y))
-                elif X < x:
-                    if Y < y:
-                        if (X, y) not in L or (x, Y) not in L:
-                            self.ext(_mesh_e(c, X, Y, x, y))
-                    elif Y > y:
-                        if (X, y) not in L or (x, Y) not in L:
-                            self.rotate(_mesh_e(c, X, y, x, Y))
-            # T-H / T-V with v as c: ext once the tube a is derived
-            for k in range(1, min(x - w.x_lo, cap + 1) + 1):
-                if (("P", c, (x - k) % p, k - 1) in have
-                        and (x - k, y) not in L):
-                    self.derive("ext", _t_h(c, x - k, y, k), (c, x - k, y))
-            for k in range(1, min(y - w.y_lo, cap + 1) + 1):
-                if (("U", c, (y - k) % q, k - 1) in have
-                        and (x, y - k) not in L):
-                    self.derive("ext", _t_v(c, x, y - k, k), (c, x, y - k))
-            # T-H / T-V with v as the mid: rot-right needs Omega^-1 a,
+                if X != x and Y != y and ((x, Y) not in L or (X, y) not in L):
+                    self.fire(_mesh_e(c, x, y, X, Y))
+            # tube chains with v as c: ext once the tube a is derived
+            for f, (dx, dy, lo, hi, r) in axes.items():
+                s = x if dx else y
+                for k in range(1, min(s - lo, cap + 1) + 1):
+                    u, t = x - k * dx, y - k * dy
+                    if (f, c, (s - k) % r, k - 1) in have and (u, t) not in L:
+                        self.derive("ext", _chain(f, c, u, t, k), (c, u, t))
+            # tube chains with v as the mid: rot-right needs Omega^-1 a,
             # rot-left needs Omega c
-            for k in range(1, min(w.x_hi - x, cap + 1) + 1):
-                if ((x + k, y) not in L
-                        and ("P", d, (x + d) % p, k - 1) in have):
-                    self.derive("rot-right", _t_h(c, x, y, k), (c, x + k, y))
-                if (("P", c, x % p, k - 1) not in have
-                        and key((d, x + k - c, y - c)) in have):
-                    self.derive("rot-left", _t_h(c, x, y, k),
-                                ("P", c, x, k - 1))
-            for k in range(1, min(w.y_hi - y, cap + 1) + 1):
-                if ((x, y + k) not in L
-                        and ("U", d, (y + d) % q, k - 1) in have):
-                    self.derive("rot-right", _t_v(c, x, y, k), (c, x, y + k))
-                if (("U", c, y % q, k - 1) not in have
-                        and key((d, x - c, y + k - c)) in have):
-                    self.derive("rot-left", _t_v(c, x, y, k),
-                                ("U", c, y, k - 1))
+            for f, (dx, dy, lo, hi, r) in axes.items():
+                s = x if dx else y
+                for k in range(1, min(hi - s, cap + 1) + 1):
+                    X, Y = x + k * dx, y + k * dy
+                    if (X, Y) not in L and (f, d, (s + d) % r, k - 1) in have:
+                        self.derive("rot-right", _chain(f, c, x, y, k),
+                                    (c, X, Y))
+                    if ((f, c, s % r, k - 1) not in have
+                            and key(_omega((c, X, Y))) in have):
+                        self.derive("rot-left", _chain(f, c, x, y, k),
+                                    (f, c, s, k - 1))
         # v as Omega^-1 a of T-mesh-E: join the row and column through a
         a = omega(v, P)
         La = self.lifted[a.comp]
@@ -336,10 +343,9 @@ class _Fixpoint:
                     if (X, Y) not in La:
                         self.derive("rot-right", _mesh_e(a.comp, i, j, X, Y),
                                     (a.comp, X, Y))
-        # v as Omega c of T-mesh-E, T-H or T-V: join through the corner c
+        # v as Omega c of T-mesh-E or of a tube chain: join through c
         cv = omega_inv(v, P)
-        cc = cv.comp
-        Lc = self.lifted[cc]
+        cc, Lc = cv.comp, self.lifted[cv.comp]
         for X, Y in w.lifts(cv):
             lefts = [i for i in range(w.x_lo, X) if (i, Y) in Lc]
             downs = [j for j in range(w.y_lo, Y) if (X, j) in Lc]
@@ -348,65 +354,39 @@ class _Fixpoint:
                     if (i, j) not in Lc:
                         self.derive("rot-left", _mesh_e(cc, i, j, X, Y),
                                     (cc, i, j))
-            for k in range(1, min(X - w.x_lo, cap + 1) + 1):
-                if (X - k, Y) in Lc:
-                    tri = _t_h(cc, X - k, Y, k)
-                    self.derive("rot-left", tri, tri[1])
-            for k in range(1, min(Y - w.y_lo, cap + 1) + 1):
-                if (X, Y - k) in Lc:
-                    tri = _t_v(cc, X, Y - k, k)
-                    self.derive("rot-left", tri, tri[1])
-
-    def ext(self, tri) -> None:
-        """A T-mesh-E triangle whose a and c are both derived."""
-        for m in tri[2]:
-            self.derive("ext", tri, m)
-
-    def rotate(self, tri) -> None:
-        """A T-mesh-E triangle whose mids are both derived."""
-        _, (c, i, j), _, (_, x, y) = tri
-        d = 1 - c
-        key, have = self.key, self.have
-        if key((d, i + d, j + d)) in have:
-            self.derive("rot-right", tri, tri[3])
-        if key((d, x - c, y - c)) in have:
-            self.derive("rot-left", tri, tri[1])
+            for f, (dx, dy, lo, hi, r) in axes.items():
+                s = X if dx else Y
+                for k in range(1, min(s - lo, cap + 1) + 1):
+                    if (X - k * dx, Y - k * dy) in Lc:
+                        tri = _chain(f, cc, X - k * dx, Y - k * dy, k)
+                        self.derive("rot-left", tri, tri[1])
 
     def pop_tube(self, v: Tube) -> None:
-        P, w = self.P, self.w
-        p, q = P.p, P.q
         f, k = v.family, v.ht + 1
-        # v as a of T-H / T-V: ext once c is derived
+        dx, dy, lo, hi, r = self.axes[f]
+        # v as a of a tube chain: ext once c is derived
         L = self.lifted[v.level]
         for X, Y in list(L):
-            if f == "P":
-                u = X - k
-                if u >= w.x_lo and u % p == v.idx and (u, Y) not in L:
-                    self.derive("ext", _t_h(v.level, u, Y, k),
-                                (v.level, u, Y))
-            else:
-                u = Y - k
-                if u >= w.y_lo and u % q == v.idx and (X, u) not in L:
-                    self.derive("ext", _t_v(v.level, X, u, k),
-                                (v.level, X, u))
-        # v as Omega^-1 a of T-H / T-V: rot-right once the mid is derived
-        a = omega(v, P)
+            s, u, t = (X if dx else Y) - k, X - k * dx, Y - k * dy
+            if s >= lo and s % r == v.idx and (u, t) not in L:
+                tri = _chain(f, v.level, u, t, k)
+                self.derive("ext", tri, tri[2][0])
+        # v as Omega^-1 a of a tube chain: rot-right once the mid is derived
+        a = omega(v, self.P)
         L = self.lifted[a.level]
         for X, Y in list(L):
-            if f == "P":
-                if X % p == a.idx and X + k <= w.x_hi and (X + k, Y) not in L:
-                    self.derive("rot-right", _t_h(a.level, X, Y, k),
-                                (a.level, X + k, Y))
-            elif Y % q == a.idx and Y + k <= w.y_hi and (X, Y + k) not in L:
-                self.derive("rot-right", _t_v(a.level, X, Y, k),
-                            (a.level, X, Y + k))
+            s = X if dx else Y
+            if (s % r == a.idx and s + k <= hi
+                    and (X + k * dx, Y + k * dy) not in L):
+                self.derive("rot-right", _chain(f, a.level, X, Y, k),
+                            (a.level, X + k * dx, Y + k * dy))
         # T-mesh-T: v as a, c, either mid, Omega^-1 a or Omega c (the last
         # two name the same triangle, since Omega^-1 a == Omega c there)
         l, j, h = v.level, v.idx, v.ht
         for lv, jj, kk in ((l, j, h), (l, j - 1, h), (l, j, h - 1),
                            (l, j - 1, h + 1), (1 - l, j - l, h)):
-            if 0 <= kk < w.tube_ht_cap:
-                self.fire_tube_mesh(_mesh_t(f, lv, jj, kk))
+            if 0 <= kk < self.w.tube_ht_cap:
+                self.fire(_mesh_t(f, lv, jj, kk))
 
 
 def replay_trace(S, trace, P: Params) -> frozenset:
@@ -437,12 +417,10 @@ def trace_json_lines(trace):
 
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:
-    vs = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
+    vs = canonical_set(S, P)
     if not is_orthogonal_system(vs, P):
         raise DomainError("set is not an orthogonal system of bricks")
     has_euclid = any(isinstance(v, Euclid) for v in vs)
-    if window is None:
-        window = default_window(vs, P)
     state = closure(vs, P, window)
     targets = {format_vertex(v): (omega_inv(v, P) in state.in_f) for v in vs}
     certified = has_euclid and all(targets.values())
@@ -454,7 +432,7 @@ def certify_sms(S, P: Params, window: Window | None = None) -> dict:
         "members": [format_vertex(v) for v in vs],
         "derived": len(state.in_f),
         "trace": state.trace,
-        "window": window,
+        "window": state.window,
     }
 
 
@@ -477,13 +455,13 @@ def extract_params(S, P: Params) -> dict:
     bi-perpendicular point of S-without-comp-1 inside the gap rectangle,
     read off that set's comp-1 witness pool.  All three are reported in absolute window coordinates.
     """
-    vs = sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
+    vs = canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):
         raise NoEuclideanMember("parameter extraction needs a Euclidean part")
-    if not is_orthogonal_system(vs, P):
-        raise DomainError("set is not an orthogonal system of bricks")
     report = maximality(vs, P)
     if not report.is_maximal:
+        if not is_orthogonal_system(vs, P):
+            raise DomainError("set is not an orthogonal system of bricks")
         raise NotMaximal("witnesses remain: %s" %
                          [format_vertex(w) for w in report.witnesses])
     comp0 = sorted((v for v in vs if isinstance(v, Euclid) and v.comp == 0),
@@ -502,17 +480,14 @@ def extract_params(S, P: Params) -> dict:
         else:
             a_n, b_n = comp0[0].x + P.p, comp0[0].y - P.q
 
-        ts = [t for t in range(a_r + 1, a_n + 1)
-              if _wings_clear(vs, "P", t - 1, t, P)]
-        if len(ts) != 1:
-            raise ParameterNotUnique("gap %d admits t candidates %s" % (r, ts))
-        t_list.append(ts[0])
-
-        ss = [s for s in range(b_n + 1, b_r + 1)
-              if _wings_clear(vs, "U", s - 1, s, P)]
-        if len(ss) != 1:
-            raise ParameterNotUnique("gap %d admits s candidates %s" % (r, ss))
-        s_list.append(ss[0])
+        for name, family, lo, hi, out in (("t", "P", a_r + 1, a_n, t_list),
+                                          ("s", "U", b_n + 1, b_r, s_list)):
+            found = [t for t in range(lo, hi + 1)
+                     if _wings_clear(vs, family, t - 1, t, P)]
+            if len(found) != 1:
+                raise ParameterNotUnique("gap %d admits %s candidates %s"
+                                         % (r, name, found))
+            out.append(found[0])
 
         box = [w for x in range(a_r + 1, a_n + 1)
                for y in range(b_n + 1, b_r + 1)

@@ -37,6 +37,7 @@ from .model import (
     Vertex,
     box_shifts,
     canonical,
+    canonical_set,
     ceil_div,
     format_vertex,
     omega,
@@ -51,10 +52,14 @@ def residue_in_interval(value: int, modulus: int, lo, hi) -> bool:
     return hi >= lo and (value - lo) % modulus <= hi - lo
 
 
-def stable_hom_nonzero(X: Vertex, Y: Vertex, P: Params) -> bool:
-    if (isinstance(X, Euclid) and X.comp == 1) or (
+def _is_unreduced(X: Vertex) -> bool:
+    return (isinstance(X, Euclid) and X.comp == 1) or (
         isinstance(X, Tube) and X.level == 1
-    ):
+    )
+
+
+def stable_hom_nonzero(X: Vertex, Y: Vertex, P: Params) -> bool:
+    if _is_unreduced(X):
         X, Y = omega(X, P), omega(Y, P)
     if isinstance(X, Euclid):
         a, b = X.x, X.y
@@ -442,9 +447,10 @@ class SupportReport:
         }
 
 
-def _transport(rep: SupportReport, transformer) -> SupportReport:
+def _transport(rep: SupportReport) -> SupportReport:
+    """omega^{-1} of every part of a report."""
     parts = {
-        PART_SWAP[name]: transformer(region, rep.P)
+        PART_SWAP[name]: omega_inv_region(region, rep.P)
         for name, region in rep.parts.items()
     }
     return SupportReport(rep.P, parts, rep.homogeneous_meets)
@@ -454,17 +460,11 @@ def _empty_parts():
     return {name: EMPTY for name in PART_NAMES}
 
 
-def _is_unreduced(X: Vertex) -> bool:
-    return (isinstance(X, Euclid) and X.comp == 1) or (
-        isinstance(X, Tube) and X.level == 1
-    )
-
-
 def rsupp(X: Vertex, P: Params) -> SupportReport:
     """Right support {Y : Hom(X, Y) != 0} as exact regions."""
     X = canonical(X, P)
     if _is_unreduced(X):
-        return _transport(rsupp(omega(X, P), P), omega_inv_region)
+        return _transport(rsupp(omega(X, P), P))
     parts = _empty_parts()
     if isinstance(X, Euclid):
         a, b = X.x, X.y
@@ -488,7 +488,7 @@ def rsupp(X: Vertex, P: Params) -> SupportReport:
 def lsupp(X: Vertex, P: Params) -> SupportReport:
     """Left support {Y : Hom(Y, X) != 0}; equals omega^{-1} of the right
     support by duality."""
-    return _transport(rsupp(X, P), omega_inv_region)
+    return _transport(rsupp(X, P))
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +572,8 @@ def _witnesses(vs, P: Params, parts):
     if unknown:
         raise DomainError("unknown part %s; valid parts are %s"
                           % (", ".join(unknown), ", ".join(PART_NAMES)))
+    if not parts:
+        raise DomainError("parts must name at least one part")
     anchors = [v for v in vs if isinstance(v, Euclid)]
     if not anchors:
         return None, 0
@@ -639,14 +641,14 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
 def _biperp_single(X: Vertex, P: Params) -> SupportReport:
     X = canonical(X, P)
     if _is_unreduced(X):
-        return _transport(_biperp_single(omega(X, P), P), omega_inv_region)
+        return _transport(_biperp_single(omega(X, P), P))
     return _biperp_single_base(X, P)
 
 
 def biperp(S, P: Params) -> SupportReport:
     """Bi-perpendicular category of a finite set: vertices with no nonzero
     stable Hom to or from any member of S."""
-    members = sorted({canonical(s, P) for s in S}, key=vertex_sort_key)
+    members = canonical_set(S, P)
     if not members:
         parts = {name: All(name) for name in PART_NAMES}
         return SupportReport(P, parts, True)

@@ -147,6 +147,12 @@ def vertex_sort_key(v: Vertex):
     return (1, v.family, v.level, v.idx, v.ht)
 
 
+def canonical_set(S, P: Params) -> list[Vertex]:
+    """The canonical representatives of S, once each, in vertex_sort_key
+    order."""
+    return sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
+
+
 def ceil_div(a: int, b: int) -> int:
     # b > 0
     return -((-a) // b)

@@ -25,9 +25,9 @@ from .model import (
     Tube,
     Vertex,
     canonical,
+    canonical_set,
     format_vertex,
     is_brick_candidate,
-    vertex_sort_key,
 )
 from .homs import _band, _bits, _witnesses
 
@@ -36,15 +36,11 @@ class NoEuclideanMember(DomainError):
     """Raised when an unbounded witness pool would be required."""
 
 
-def _canonical_set(S, P: Params) -> list[Vertex]:
-    return sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
-
-
 def is_orthogonal_system(S, P: Params) -> bool:
     """Bricks with no nonzero stable Hom between distinct members, read
     from the band table of the first Euclidean member (x = 0 if none).  No
     Euclidean vertex off that band is orthogonal to that member."""
-    vs = _canonical_set(S, P)
+    vs = canonical_set(S, P)
     if not all(is_brick_candidate(v, P) for v in vs):
         return False
     band = _band(P, next((v.x for v in vs if isinstance(v, Euclid)), 0))
@@ -64,7 +60,7 @@ def euclidean_ortho_check(members, P: Params) -> bool:
     the total x spread stays below p.  Order-independent; must agree with
     the pairwise predicate.
     """
-    vs = _canonical_set(members, P)
+    vs = canonical_set(members, P)
     if not vs:
         return True
     if not all(isinstance(v, Euclid) for v in vs):
@@ -94,16 +90,18 @@ def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
     the bi-perpendicular category to one band of width p; tube heights cap
     at rank-2.  Returns [] when S has no Euclidean member.
     """
-    band, mask = _witnesses(_canonical_set(S, P), P, parts)
+    band, mask = _witnesses(canonical_set(S, P), P, parts)
     return [band.cand[i] for i in _bits(mask)]
 
 
 def maximality(S, P: Params, parts=None) -> MaximalityReport:
-    vs = _canonical_set(S, P)
+    vs = canonical_set(S, P)
     blocked = any(isinstance(v, Euclid) for v in vs)
     pool = witness_pool(vs, P, parts)
     return MaximalityReport(
-        is_maximal=(not pool) and blocked,
+        # a member only shrinks the pool, so an empty pool alone does not
+        # make a set that is not orthogonal maximal
+        is_maximal=(not pool) and blocked and is_orthogonal_system(vs, P),
         witnesses=tuple(pool),
         homogeneous_blocked=blocked,
     )
@@ -168,7 +166,7 @@ def maximal_systems_containing(S, P: Params, parts=None):
     The search runs on the band table's bit indices; every member of an
     orthogonal seed lies in the band.
     """
-    vs = _canonical_set(S, P)
+    vs = canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):
         raise NoEuclideanMember("extension pool is unbounded without a "
                                 "Euclidean member")
@@ -185,11 +183,9 @@ def triangle_pool(family, level, idx, height, P: Params) -> list[Tube]:
     if height > P.rank(family) - 2:
         raise HeightOutOfRange(
             "height %d exceeds brick cap %d" % (height, P.rank(family) - 2))
-    pool = []
-    for j in range(max(height + 1, 0)):
-        for k in range(height - j + 1):
-            pool.append(canonical(Tube(family, level, idx + j, k), P))
-    return sorted(set(pool), key=vertex_sort_key)
+    return canonical_set((Tube(family, level, idx + j, k)
+                          for j in range(max(height + 1, 0))
+                          for k in range(height - j + 1)), P)
 
 
 def paired_pool(family, kind, idx, height, P: Params) -> list[Tube]:
@@ -205,7 +201,7 @@ def paired_pool(family, kind, idx, height, P: Params) -> list[Tube]:
         hi = triangle_pool(family, 1, idx, height, P)
     else:
         raise DomainError("unknown pairing kind %r" % (kind,))
-    return sorted(set(lo) | set(hi), key=vertex_sort_key)
+    return canonical_set(lo + hi, P)
 
 
 def _all_systems(band, pool: int) -> list[list[Vertex]]:
@@ -262,7 +258,7 @@ def quasi_simple_chain_shape(W, segment, P: Params) -> bool:
     the shape.  The empty set matches with an empty segment prefix.
     """
     lo, hi = segment
-    vs = _canonical_set(W, P)
+    vs = canonical_set(W, P)
     if not vs:
         return lo > hi
     if not all(isinstance(v, Tube) and v.ht == 0 for v in vs):

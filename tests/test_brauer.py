@@ -132,6 +132,38 @@ class TestClassification:
         assert (cls.p, cls.q, cls.n) == (2, 3, 5)
         assert cls.p + cls.q == cls.n
 
+    def test_square_with_depth_two_branch(self):
+        # the tree through a-x has three edges: a-x, x-y and x-z
+        doc = make_doc("abcdxyz",
+                       {"1": "ab", "2": "bc", "3": "cd", "4": "da",
+                        "5": "ax", "6": "xy", "7": "xz"},
+                       {"a": [("1", 0), ("5", 0), ("4", 1)],
+                        "b": [("2", 0), ("1", 1)],
+                        "c": [("3", 0), ("2", 1)],
+                        "d": [("4", 0), ("3", 1)],
+                        "x": [("5", 1), ("6", 0), ("7", 0)],
+                        "y": [("6", 1)], "z": [("7", 1)]})
+        cls = classify(parse_graph(doc))
+        assert cls.tag == "TwoDomestic"
+        assert (cls.p, cls.q, cls.n, cls.cycle_length) == (2, 5, 7, 4)
+        assert (cls.inside_count, cls.outside_count) == (0, 3)
+
+    def test_triangle_with_branches_on_both_sides(self):
+        # at a: a-u on one side, a-v-w on the other; at c: c-s-t
+        doc = make_doc("abcuvwst",
+                       {"1": "ab", "2": "bc", "3": "ca", "4": "au",
+                        "5": "av", "6": "vw", "7": "cs", "8": "st"},
+                       {"a": [("1", 0), ("4", 0), ("3", 1), ("5", 0)],
+                        "b": [("2", 0), ("1", 1)],
+                        "c": [("3", 0), ("7", 0), ("2", 1)],
+                        "u": [("4", 1)], "v": [("5", 1), ("6", 0)],
+                        "w": [("6", 1)], "s": [("7", 1), ("8", 0)],
+                        "t": [("8", 1)]})
+        cls = classify(parse_graph(doc))
+        assert cls.tag == "OneDomesticOddCycle"
+        assert (cls.p, cls.q, cls.n, cls.cycle_length) == (7, 9, 8, 3)
+        assert (cls.inside_count, cls.outside_count) == (2, 3)
+
     def test_tree_with_two_double_points(self):
         doc = make_doc("abc", {"1": "ab", "2": "bc"},
                        {"a": [("1", 0)], "b": [("1", 1), ("2", 0)],

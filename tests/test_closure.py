@@ -3,11 +3,14 @@
 import functools
 import json
 import random
+import time
+from dataclasses import astuple
 
 import pytest
 
 from arq2d.closure import (
     DistinguishedTriangle,
+    _Fixpoint,
     NotMaximal,
     WindowTooSmall,
     certify_sms,
@@ -240,6 +243,56 @@ class TestAgainstCatalog:
                 Tube("P", 1, 1, 1)]
         state = assert_matches_reference(seed, P)
         assert len(state.in_f) > len(seed)
+
+
+def _premise_slots(t, P):
+    """(rule, premises, conclusions) of each rule of a catalog triangle."""
+    return (("ext", (t.a, t.c), t.mids),
+            ("rot-right", t.mids + (omega_inv(t.a, P),), (t.c,)),
+            ("rot-left", t.mids + (omega(t.c, P),), (t.a,)))
+
+
+def _derived_last(P, window, premises, held):
+    """Drain a fresh engine on every premise but one, then add that one
+    and drain again; return the canonical keys it derived."""
+    run = _Fixpoint(P, window)
+    for group in (premises[:held] + premises[held + 1:],
+                  premises[held:held + 1]):
+        for v in group:
+            if astuple(v) not in run.have:
+                run.add(astuple(v))
+        run.drain()
+    return run.have
+
+
+class TestEveryPremiseTriggers:
+    """Each premise slot of each rule fires that rule when it is derived
+    last.  The least fixpoint needs every slot: a missing join can go
+    unseen on whole systems when other triangles derive the same vertex."""
+
+    BUDGET_S = 30  # the test takes about 5 s on a 2-core VM
+
+    def check(self, P, window, triangles):
+        runs = 0
+        for t in triangles:
+            for rule, premises, conclusions in _premise_slots(t, P):
+                for held in range(len(premises)):
+                    have = _derived_last(P, window, premises, held)
+                    for v in conclusions:
+                        assert astuple(v) in have, (rule, t, premises[held])
+                    runs += 1
+        return runs
+
+    def test_whole_catalog_and_a_sample(self):
+        start = time.perf_counter()
+        P = Params(1, 2)
+        w = Window(P, -2, 2, -3, 3, 2)
+        assert self.check(P, w, triangle_catalog(P, w)) == 3348
+        P = Params(2, 3)
+        w = Window.periods(P, 1)
+        sample = random.Random(2027).sample(triangle_catalog(P, w), 150)
+        self.check(P, w, sample)
+        assert time.perf_counter() - start < self.BUDGET_S
 
 
 class TestEquivariance:

@@ -175,6 +175,21 @@ class TestMaximality:
             with pytest.raises(DomainError, match="unknown part zz"):
                 maximality(S, P, ("e0", "zz"))
 
+    def test_empty_parts_rejected(self):
+        # witness_pool and maximality: TestBandTable, on every seed
+        with pytest.raises(DomainError,
+                           match="^parts must name at least one part$"):
+            maximal_systems_containing([Euclid(0, 1, 0)], Params(3, 3), ())
+
+    def test_non_orthogonal_set_not_maximal(self):
+        # its witness pool is empty, since a member only shrinks the pool
+        P = Params(3, 3)
+        S = [Euclid(0, 1, 0), Euclid(0, -1, 2), Euclid(0, 0, 1),
+             Euclid(1, -1, 3), Euclid(1, 0, 2), Euclid(1, 1, 1),
+             Euclid(0, 1, 1)]
+        assert maximality(S, P) == MaximalityReport(False, (), True)
+        assert maximality(S[:-1], P) == MaximalityReport(True, (), True)
+
     def test_full_system_is_maximal(self):
         P = Params(2, 2)
         systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
@@ -370,7 +385,7 @@ class TestBandTable:
         P = Params(p, q)
         rng = random.Random(1000 * p + q)
         seeds = _random_seeds(rng, P)
-        subsets = [frozenset(c) for k in range(len(PART_NAMES) + 1)
+        subsets = [frozenset(c) for k in range(1, len(PART_NAMES) + 1)
                    for c in itertools.combinations(PART_NAMES, k)]
         queries = [(i, parts) for i in range(len(seeds)) for parts in subsets]
         naive = [_naive_pool(S, P) for S in seeds]
@@ -388,9 +403,15 @@ class TestBandTable:
             want = [v for v in naive[i] if part_of(v) in parts]
             assert pool == want, (seeds[i], parts)
             blocked = any(isinstance(v, Euclid) for v in seeds[i])
-            assert report == MaximalityReport(not want and blocked,
-                                              tuple(want), blocked)
+            maximal = (not want and blocked
+                       and _oracle_orthogonal(seeds[i], P))
+            assert report == MaximalityReport(maximal, tuple(want), blocked)
         assert witness_pool(seeds[-1], P) == []
+        for S in seeds:
+            for ask in (witness_pool, maximality):
+                with pytest.raises(DomainError,
+                                   match="^parts must name at least one"):
+                    ask(S, P, frozenset())
         # every decided pair is recorded in both directions, with the
         # oracle's verdict
         for S in seeds:
