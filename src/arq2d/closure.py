@@ -5,9 +5,11 @@ with shift = the inverse syzygy.  The closure engine runs three rules to a
 least fixpoint over the triangles of a finite window: `ext` derives the mids
 from a and c (orthogonal seeds make the closure summand-closed), `rot-right`
 derives c from the mids and Omega^-1 a, `rot-left` a from the mids and
-Omega c.  It generates triangles on demand from the vertices it derives;
-`triangle_catalog` lists them all and serves as the reference.  Every
-derivation is traced and traces replay deterministically.
+Omega c.  It generates triangles on demand from the vertices it derives,
+joining bitmask rows and columns of the derived lifts from the cells still
+missing; `triangle_catalog` lists them all and serves as the reference.
+Every derivation is traced, and `replay_trace` checks each step's premises
+and conclusion.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .model import (
     omega_inv,
     vertex_sort_key,
 )
-from .homs import QuasiCone
+from .homs import QuasiCone, _bits
 from .ortho import (NoEuclideanMember, is_orthogonal_system, maximality,
                     witness_pool)
 
@@ -156,8 +158,8 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
 
     The fixpoint is evaluated on demand: when a vertex leaves the queue, the
     engine looks only at the triangles in which that vertex supplies a
-    premise of a rule, found by joining its in-box lifts against the raw
-    lifts of the vertices derived so far.  Its triangles are the ones
+    premise of a rule, found by joining its in-box lifts against bitmasks
+    of the lifts derived so far.  Its triangles are the ones
     `triangle_catalog` lists, so it reaches the same least fixpoint.
     """
     seeds = canonical_set(S, P)
@@ -215,35 +217,40 @@ def _chain(f, c, u, v, k):
 
 
 def _mesh_t(f, l, j, k):
-    mids = ((f, l, j, k + 1),)
-    if k >= 1:
-        mids += ((f, l, j + 1, k - 1),)
+    mids = ((f, l, j, k + 1),) + (((f, l, j + 1, k - 1),) if k else ())
     return ("T-mesh-T", (f, l, j, k), mids, (f, l, j + 1, k))
 
 
 class _Fixpoint:
     """Working state of one closure run.
 
-    `have` holds the canonical keys of the derived vertices and
-    `lifted[comp]` every raw in-box lift of a derived Euclidean vertex, so a
-    raw corner inside the box is tested without canonicalising it.  Vertex
-    and triangle objects are built only when a rule produces a vertex.
-
-    `fire` checks every rule of one triangle.  Each tube-chain rule is
-    written once for both axes: `axes[f]` holds family f's unit step, the
-    box's bounds along it and the family's rank.
+    `have` holds the canonical keys of the derived vertices.  For each
+    component, `rows[comp][j]` is an int bitmask of the derived raw lifts
+    in row j of the box (bit i for x = x_lo + i), `cols[comp][i]` one of
+    column i (bit j for y = y_lo + j), and bit j of `gaps[comp]` is set
+    while row j has a missing cell.  `tubes` and `diags` map (family,
+    level, idx) and (family, level, (idx + ht) mod rank) to bitmasks of
+    derived heights.  The lifts fill most of the box, so each join walks
+    the missing cells of a line, the slots a rule can still fill, and tests
+    each with one AND against a perpendicular line.  Vertex and triangle
+    objects are built only when a rule produces a vertex.
     """
 
     def __init__(self, P: Params, window: Window):
-        self.P = P
-        self.w = window
+        self.P, self.w = P, window
         self.have: set = set()
-        self.lifted = (set(), set())
+        self.x0, self.y0 = window.x_lo, window.y_lo
+        width = window.x_hi - window.x_lo + 1
+        height = window.y_hi - window.y_lo + 1
+        self.rows = ([0] * height, [0] * height)
+        self.cols = ([0] * width, [0] * width)
+        self.row_full = (1 << width) - 1
+        self.gaps = [(1 << height) - 1] * 2
+        self.tubes, self.diags, self.offsets = {}, {}, {}
         self.in_f: list = []
         self.trace: list = []
         self.queue: deque = deque()
-        self.axes = {"P": (1, 0, window.x_lo, window.x_hi, P.p),
-                     "U": (0, 1, window.y_lo, window.y_hi, P.q)}
+        self.axes = {"P": (1, 0, P.p), "U": (0, 1, P.q)}
 
     def key(self, raw):
         """Canonical key of a raw key."""
@@ -258,23 +265,40 @@ class _Fixpoint:
         k = self.key(raw)
         return Euclid(*k) if len(k) == 3 else Tube(*k)
 
+    def lifts(self, key):
+        """Lifts of a canonical Euclidean key, as offsets from the box's
+        lower-left cell; cached."""
+        got = self.offsets.get(key)
+        if got is None:
+            got = self.offsets[key] = [(x - self.x0, y - self.y0)
+                                       for x, y in self.w.lifts(Euclid(*key))]
+        return got
+
     def add(self, key) -> Vertex:
-        v = self.vertex(key)
         self.have.add(key)
         if len(key) == 3:
-            self.lifted[key[0]].update(self.w.lifts(v))
+            rows, cols = self.rows[key[0]], self.cols[key[0]]
+            for i, j in self.lifts(key):
+                rows[j] |= 1 << i
+                cols[i] |= 1 << j
+                if rows[j] == self.row_full:
+                    self.gaps[key[0]] &= ~(1 << j)
+            v = Euclid(*key)
+        else:
+            f, l, j, h = key
+            for index, at in ((self.tubes, j),
+                              (self.diags, (j + h) % self.P.rank(f))):
+                index[f, l, at] = index.get((f, l, at), 0) | 1 << h
+            v = Tube(*key)
         self.in_f.append(v)
-        self.queue.append(v)
+        self.queue.append(key)
         return v
 
     def drain(self) -> None:
         """Pop the queue until no rule derives a new vertex."""
         while self.queue:
-            v = self.queue.popleft()
-            if isinstance(v, Euclid):
-                self.pop_euclid(v)
-            else:
-                self.pop_tube(v)
+            key = self.queue.popleft()
+            (self.pop_euclid if len(key) == 3 else self.pop_tube)(*key)
 
     def derive(self, rule, tri, target) -> None:
         key = self.key(target)
@@ -302,87 +326,119 @@ class _Fixpoint:
         if not has_a and key(_omega(c)) in have:
             self.derive("rot-left", tri, a)
 
-    def pop_euclid(self, v: Euclid) -> None:
-        P, w, have, key, axes = self.P, self.w, self.have, self.key, self.axes
-        cap, c, d = w.tube_ht_cap, v.comp, 1 - v.comp
-        L = self.lifted[c]
-        for x, y in w.lifts(v):
-            # T-mesh-E with v at a corner: a lift off its row and column is
-            # the opposite corner; fire unless the other two are lifted too
-            for X, Y in list(L):
-                if X != x and Y != y and ((x, Y) not in L or (X, y) not in L):
-                    self.fire(_mesh_e(c, x, y, X, Y))
-            # tube chains with v as c: ext once the tube a is derived
-            for f, (dx, dy, lo, hi, r) in axes.items():
-                s = x if dx else y
-                for k in range(1, min(s - lo, cap + 1) + 1):
-                    u, t = x - k * dx, y - k * dy
-                    if (f, c, (s - k) % r, k - 1) in have and (u, t) not in L:
-                        self.derive("ext", _chain(f, c, u, t, k), (c, u, t))
-            # tube chains with v as the mid: rot-right needs Omega^-1 a,
-            # rot-left needs Omega c
-            for f, (dx, dy, lo, hi, r) in axes.items():
-                s = x if dx else y
-                for k in range(1, min(hi - s, cap + 1) + 1):
-                    X, Y = x + k * dx, y + k * dy
-                    if (X, Y) not in L and (f, d, (s + d) % r, k - 1) in have:
-                        self.derive("rot-right", _chain(f, c, x, y, k),
-                                    (c, X, Y))
-                    if ((f, c, s % r, k - 1) not in have
-                            and key(_omega((c, X, Y))) in have):
-                        self.derive("rot-left", _chain(f, c, x, y, k),
-                                    (f, c, s, k - 1))
-        # v as Omega^-1 a of T-mesh-E: join the row and column through a
-        a = omega(v, P)
-        La = self.lifted[a.comp]
-        for i, j in w.lifts(a):
-            ups = [Y for Y in range(j + 1, w.y_hi + 1) if (i, Y) in La]
-            rights = [X for X in range(i + 1, w.x_hi + 1) if (X, j) in La]
-            for X in rights:
-                for Y in ups:
-                    if (X, Y) not in La:
-                        self.derive("rot-right", _mesh_e(a.comp, i, j, X, Y),
-                                    (a.comp, X, Y))
-        # v as Omega c of T-mesh-E or of a tube chain: join through c
-        cv = omega_inv(v, P)
-        cc, Lc = cv.comp, self.lifted[cv.comp]
-        for X, Y in w.lifts(cv):
-            lefts = [i for i in range(w.x_lo, X) if (i, Y) in Lc]
-            downs = [j for j in range(w.y_lo, Y) if (X, j) in Lc]
-            for i in lefts:
-                for j in downs:
-                    if (i, j) not in Lc:
-                        self.derive("rot-left", _mesh_e(cc, i, j, X, Y),
-                                    (cc, i, j))
-            for f, (dx, dy, lo, hi, r) in axes.items():
-                s = X if dx else Y
-                for k in range(1, min(s - lo, cap + 1) + 1):
-                    if (X - k * dx, Y - k * dy) in Lc:
-                        tri = _chain(f, cc, X - k * dx, Y - k * dy, k)
-                        self.derive("rot-left", tri, tri[1])
+    def corner(self, c, i, j, column) -> None:
+        """T-mesh-E with the comp-c lift (i, j) at a corner: walk the missing
+        cells S of its column (or row).  Beyond the lift, S is a mid of an
+        `ext` with the lift as a, or the c of a `rot-right` with the lift as
+        a mid; before it, a mid of an `ext` with it as c, or the a of a
+        `rot-left`.  The witness is the nearest lift on S's perpendicular
+        line: for a rotation the other mid, off the lift's row and column,
+        so the Omega-shifted premise lies in the box, one line over."""
+        d, x0, y0 = 1 - c, self.x0, self.y0
+        s, t, line, cross, other = (
+            (j, i, self.cols[c][i], self.rows[c], self.rows[d]) if column
+            else (i, j, self.rows[c][j], self.cols[c], self.cols[d]))
+        n, below, above = len(cross), (1 << t) - 1, -(2 << t)
+        if line == (1 << n) - 1:
+            return
+        beyond = other[s + d] >> d if s + 1 < n else 0
+        before = other[s - c] << c if s else 0
+        for missing, ext, rot, rule in (
+                (~line & ((1 << n) - 1) & -(2 << s), above, beyond & below,
+                 "rot-right"),
+                (~line & ((1 << s) - 1), below, before & above, "rot-left")):
+            for S in _bits(missing):
+                h, name = cross[S] & ext, "ext"
+                if not h:
+                    h, name = cross[S] & rot, rule
+                    if not h:
+                        continue
+                T = (h & -h).bit_length() - 1 if h >> t else h.bit_length() - 1
+                X, Y, u, w = (T, S, i, S) if column else (S, T, S, j)
+                self.derive(name, _mesh_e(c, x0 + i, y0 + j, x0 + X, y0 + Y),
+                            (c, x0 + u, y0 + w))
 
-    def pop_tube(self, v: Tube) -> None:
-        f, k = v.family, v.ht + 1
-        dx, dy, lo, hi, r = self.axes[f]
-        # v as a of a tube chain: ext once c is derived
-        L = self.lifted[v.level]
-        for X, Y in list(L):
-            s, u, t = (X if dx else Y) - k, X - k * dx, Y - k * dy
-            if s >= lo and s % r == v.idx and (u, t) not in L:
-                tri = _chain(f, v.level, u, t, k)
-                self.derive("ext", tri, tri[2][0])
-        # v as Omega^-1 a of a tube chain: rot-right once the mid is derived
-        a = omega(v, self.P)
-        L = self.lifted[a.level]
-        for X, Y in list(L):
-            s = X if dx else Y
-            if (s % r == a.idx and s + k <= hi
-                    and (X + k * dx, Y + k * dy) not in L):
-                self.derive("rot-right", _chain(f, a.level, X, Y, k),
-                            (a.level, X + k * dx, Y + k * dy))
+    def pop_euclid(self, c, vx, vy) -> None:
+        have, key, tubes, diags = self.have, self.key, self.tubes, self.diags
+        x0, y0, cap = self.x0, self.y0, self.w.tube_ht_cap
+        rows, cols, d = self.rows, self.cols, 1 - c
+        R, C = rows[c], cols[c]
+        for i, j in self.lifts((c, vx, vy)):
+            self.corner(c, i, j, True)
+            self.corner(c, i, j, False)
+            x, y = x0 + i, y0 + j
+            for f, (dx, dy, r) in self.axes.items():
+                # the line through v along f's axis, and v's offset on it
+                line, s, at = (R[j], i, x) if dx else (C[i], j, y)
+                top = min(len(C if dx else R) - 1 - s, cap + 1)
+                # v as the c of a tube chain: ext fills each missing mid k
+                # steps back whose tube a, on a diagonal, is derived
+                diag = diags.get((f, c, (at - 1) % r), 0)
+                for u in _bits(~line & ((1 << s) - 1)
+                               & -(1 << max(0, s - cap - 1))):
+                    if diag >> (s - u - 1) & 1:
+                        k = s - u
+                        tri = _chain(f, c, x - k * dx, y - k * dy, k)
+                        self.derive("ext", tri, tri[2][0])
+                # v as the mid: rot-right fills each missing c whose
+                # Omega^-1 a is derived, rot-left each missing tube a whose
+                # Omega c is
+                for h in _bits(~line >> (s + 1) & ((1 << top) - 1)
+                               & tubes.get((f, d, (at + d) % r), 0)):
+                    tri = _chain(f, c, x, y, h + 1)
+                    self.derive("rot-right", tri, tri[3])
+                for h in _bits(~tubes.get((f, c, at % r), 0)
+                               & ((1 << top) - 1)):
+                    tri = _chain(f, c, x, y, h + 1)
+                    if key(_omega(tri[3])) in have:
+                        self.derive("rot-left", tri, tri[1])
+        # v as Omega^-1 a (Omega c) of T-mesh-E: the mids lie on a's (c's)
+        # row and column; each missing cell beyond (before) them is a c (an a)
+        for rule, u, up in (("rot-right", key(_omega((c, vx, vy))), True),
+                            ("rot-left", key(_omega_inv((c, vx, vy))), False)):
+            e = u[0]
+            R, C = rows[e], cols[e]
+            for i, j in self.lifts(u):
+                ups = C[i] & (-(2 << j) if up else (1 << j) - 1) & self.gaps[e]
+                rights = R[j] & (-(2 << i) if up else (1 << i) - 1)
+                for Y in _bits(ups):
+                    for X in _bits(rights & ~R[Y]):
+                        self.derive(rule, _mesh_e(e, x0 + i, y0 + j, x0 + X,
+                                                  y0 + Y), (e, x0 + X, y0 + Y))
+                if up:
+                    continue
+                # v as Omega c of a tube chain: each missing tube a, on a
+                # diagonal, whose mid k steps back from c is derived
+                x, y = x0 + i, y0 + j
+                for f, (dx, dy, r) in self.axes.items():
+                    line, s, at = (R[j], i, x) if dx else (C[i], j, y)
+                    for h in _bits(~diags.get((f, e, (at - 1) % r), 0)
+                                   & ((1 << min(s, cap + 1)) - 1)):
+                        if line >> (s - h - 1) & 1:
+                            k = h + 1
+                            tri = _chain(f, e, x - k * dx, y - k * dy, k)
+                            self.derive("rot-left", tri, tri[1])
+
+    def pop_tube(self, f, l, j, h) -> None:
+        dx, _, r = self.axes[f]
+        k = h + 1
+        # a chain's mid (s, t) and c (s + k, t) lie on lines s and s + k
+        # along f's axis: columns for family P, rows for family U
+        lines, origin = (self.cols, self.x0) if dx else (self.rows, self.y0)
+        _, al, aj, _ = self.key(_omega((f, l, j, h)))
+        # v as a: ext fills each missing mid before a derived c; v as
+        # Omega^-1 a: rot-right fills each missing c beyond a derived mid
+        for level, idx, rule in ((l, j, "ext"), (al, aj, "rot-right")):
+            L = lines[level]
+            for s in range((idx - origin) % r, len(L) - k, r):
+                mid, c = L[s], L[s + k]
+                for t in _bits(c & ~mid if rule == "ext" else mid & ~c):
+                    u, w = (s, t) if dx else (t, s)
+                    tri = _chain(f, level, self.x0 + u, self.y0 + w, k)
+                    self.derive(rule, tri,
+                                tri[2][0] if rule == "ext" else tri[3])
         # T-mesh-T: v as a, c, either mid, Omega^-1 a or Omega c (the last
         # two name the same triangle, since Omega^-1 a == Omega c there)
-        l, j, h = v.level, v.idx, v.ht
         for lv, jj, kk in ((l, j, h), (l, j - 1, h), (l, j, h - 1),
                            (l, j - 1, h + 1), (1 - l, j - l, h)):
             if 0 <= kk < self.w.tube_ht_cap:
@@ -390,17 +446,21 @@ class _Fixpoint:
 
 
 def replay_trace(S, trace, P: Params) -> frozenset:
-    """Re-run a trace, checking every premise; returns the final set."""
+    """Re-run a trace, checking every premise and that each step produces
+    its rule's conclusion; returns the final set."""
     cur = {canonical(v, P) for v in S}
     for rule, tri, produced in trace:
         if rule == "ext":
-            premises = (tri.a, tri.c)
+            premises, conclusions = (tri.a, tri.c), tri.mids
         elif rule == "rot-right":
-            premises = tri.mids + (omega_inv(tri.a, P),)
+            premises, conclusions = tri.mids + (omega_inv(tri.a, P),), (tri.c,)
         elif rule == "rot-left":
-            premises = tri.mids + (omega(tri.c, P),)
+            premises, conclusions = tri.mids + (omega(tri.c, P),), (tri.a,)
         else:
             raise DomainError("unknown trace rule %r" % (rule,))
+        if produced not in conclusions:
+            raise DomainError("trace step produces %s, not a conclusion of %s"
+                              % (format_vertex(produced), rule))
         for u in premises:
             if u not in cur:
                 raise DomainError("trace premise %s not established"

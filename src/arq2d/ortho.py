@@ -24,7 +24,6 @@ from .model import (
     Params,
     Tube,
     Vertex,
-    canonical,
     canonical_set,
     format_vertex,
     is_brick_candidate,
@@ -249,31 +248,6 @@ def enumerate_ortho_on_paired(family, kind, idx, height, P: Params,
                               maximal_only: bool = False):
     return _enumerate_on(paired_pool, family, kind, idx, height, P,
                          maximal_only)
-
-
-def quasi_simple_chain_shape(W, segment, P: Params) -> bool:
-    """Check the normal form: level-1 indices lo..split, level-0 split+1..hi.
-
-    W must consist of quasi-simples of a single family; anything else fails
-    the shape.  The empty set matches with an empty segment prefix.
-    """
-    lo, hi = segment
-    vs = canonical_set(W, P)
-    if not vs:
-        return lo > hi
-    if not all(isinstance(v, Tube) and v.ht == 0 for v in vs):
-        return False
-    if len({v.family for v in vs}) > 1:
-        return False
-    family = vs[0].family
-    rank = P.rank(family)
-    for split in range(lo - 1, hi + 1):
-        want = {canonical(Tube(family, 1, i, 0), P) for i in range(lo, split + 1)}
-        want |= {canonical(Tube(family, 0, i, 0), P)
-                 for i in range(split + 1, hi + 1)}
-        if set(vs) == want:
-            return True
-    return False
 
 
 def enumeration_report(systems, include_systems: bool = False) -> dict:

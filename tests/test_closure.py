@@ -28,6 +28,7 @@ from arq2d.model import (
     Tube,
     Window,
     canonical,
+    canonical_set,
     format_vertex,
     omega,
     omega_inv,
@@ -245,6 +246,64 @@ class TestAgainstCatalog:
         assert len(state.in_f) > len(seed)
 
 
+def _random_seed_windows(n=150, seed=2026):
+    """The random seed/window pairs of
+    TestAgainstCatalog.test_random_seeds_in_small_windows, drawn the same
+    way."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        P = Params(rng.randint(1, 3), rng.randint(1, 3))
+        S = [Euclid(rng.randint(0, 1), rng.randint(-2, 2),
+                    rng.randint(-2, 2)) if rng.random() < 0.75 else
+             Tube(rng.choice("UP"), rng.randint(0, 1), rng.randint(0, 2),
+                  rng.randint(0, 2))
+             for _ in range(rng.randint(1, 5))]
+        pts = [u for v in S
+               for u in (canonical(v, P), omega(v, P), omega_inv(v, P))
+               if isinstance(u, Euclid)] or [Euclid(0, 0, 0)]
+        pad = [rng.randint(0, 2) for _ in range(4)]
+        cap = max([v.ht for v in S if isinstance(v, Tube)]
+                  + [rng.randint(0, 3)])
+        yield P, S, Window(P, min(u.x for u in pts) - pad[0],
+                           max(u.x for u in pts) + pad[1],
+                           min(u.y for u in pts) - pad[2],
+                           max(u.y for u in pts) + pad[3], cap)
+
+
+class TestMaskInvariant:
+    """After a drain, the engine's bitmasks describe exactly the derived
+    vertices: each component's row and column masks hold the box lifts of
+    its derived Euclidean vertices, a row is a gap while it is not full,
+    and the tube masks hold the derived heights."""
+
+    def test_masks_rebuilt_from_lifts(self):
+        for P, S, w in _random_seed_windows():
+            run = _Fixpoint(P, w)
+            for v in canonical_set(S, P):
+                run.add(astuple(v))
+            run.drain()
+            width, height = w.x_hi - w.x_lo + 1, w.y_hi - w.y_lo + 1
+            rows = ([0] * height, [0] * height)
+            cols = ([0] * width, [0] * width)
+            tubes, diags = {}, {}
+            for key in run.have:
+                if len(key) == 3:
+                    for x, y in w.lifts(Euclid(*key)):
+                        rows[key[0]][y - w.y_lo] |= 1 << (x - w.x_lo)
+                        cols[key[0]][x - w.x_lo] |= 1 << (y - w.y_lo)
+                    continue
+                f, l, j, h = key
+                tubes[f, l, j] = tubes.get((f, l, j), 0) | 1 << h
+                d = (f, l, (j + h) % P.rank(f))
+                diags[d] = diags.get(d, 0) | 1 << h
+            assert (run.rows, run.cols) == (rows, cols), (P, S, w)
+            for comp in (0, 1):
+                assert run.gaps[comp] == sum(
+                    1 << j for j, row in enumerate(rows[comp])
+                    if row != (1 << width) - 1), (P, S, w)
+            assert (run.tubes, run.diags) == (tubes, diags), (P, S, w)
+
+
 def _premise_slots(t, P):
     """(rule, premises, conclusions) of each rule of a catalog triangle."""
     return (("ext", (t.a, t.c), t.mids),
@@ -295,6 +354,32 @@ class TestEveryPremiseTriggers:
         assert time.perf_counter() - start < self.BUDGET_S
 
 
+class TestSweepBeyondAcceptance:
+    """Every maximal (3,4) system through E(0,1,0) certifies and replays to
+    its `derived`, and so does the flagship at four periods.  The pins were
+    recorded from the engine before the bitmask joins."""
+
+    BUDGET_S = 15  # about 4 s on a 2-core VM; the set-based joins took 20 s
+
+    def test_three_four_systems_and_flagship_four_periods(self):
+        start = time.perf_counter()
+        P = Params(3, 4)
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        assert len(systems) == 132
+        total = 0
+        for s in systems:
+            doc = certify_sms(s, P)
+            assert doc["certified"], s
+            assert len(replay_trace(s, doc["trace"], P)) == doc["derived"], s
+            total += doc["derived"]
+        assert total == 37968
+        doc = certify_sms(FLAGSHIP, P33, default_window(FLAGSHIP, P33, 4))
+        assert doc["certified"]
+        assert len(replay_trace(FLAGSHIP, doc["trace"], P33)) == 756
+        assert (doc["derived"], len(doc["trace"])) == (756, 750)
+        assert time.perf_counter() - start < self.BUDGET_S
+
+
 class TestEquivariance:
     """Closure commutes with tau, which shifts the window by (-1, -1)."""
 
@@ -335,6 +420,23 @@ class TestTrace:
         rule, tri, prod = flagship_state.trace[0]
         with pytest.raises(DomainError):
             replay_trace(FLAGSHIP, [("shear", tri, prod)], P33)
+
+    @pytest.mark.parametrize("seeds,rule,produced", [
+        # replayed before the conclusion check: TU(0,0,5) is not a slot of
+        # the triangle
+        ((Euclid(0, 1, 0), Euclid(0, 2, 1)), "ext", Tube("U", 0, 0, 5)),
+        ((Euclid(0, 1, 0), Euclid(0, 2, 1)), "ext", "c"),
+        (FLAGSHIP, "rot-right", "a"),
+        (FLAGSHIP, "rot-left", "c"),
+    ], ids=["ext-off-triangle", "ext-corner", "rot-right-a", "rot-left-c"])
+    def test_step_must_produce_its_conclusion(self, seeds, rule, produced):
+        trace = closure(seeds, P33).trace
+        n = next(i for i, step in enumerate(trace) if step[0] == rule)
+        tri = trace[n][1]
+        if isinstance(produced, str):
+            produced = getattr(tri, produced)
+        with pytest.raises(DomainError, match="not a conclusion of " + rule):
+            replay_trace(seeds, trace[:n] + ((rule, tri, produced),), P33)
 
     def test_json_lines_shape(self, flagship_state):
         lines = list(trace_json_lines(flagship_state.trace))

@@ -23,6 +23,7 @@ from arq2d.model import (
     Params,
     Tube,
     canonical,
+    canonical_set,
     is_brick_candidate,
     vertex_sort_key,
 )
@@ -45,7 +46,6 @@ from arq2d.ortho import (
     maximal_systems_containing,
     maximality,
     paired_pool,
-    quasi_simple_chain_shape,
     triangle_pool,
     witness_pool,
 )
@@ -479,6 +479,31 @@ def test_import_leaves_networkx_out():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def quasi_simple_chain_shape(W, segment, P: Params) -> bool:
+    """Check the normal form: level-1 indices lo..split, level-0 split+1..hi.
+
+    W must consist of quasi-simples of a single family; anything else fails
+    the shape.  The empty set matches with an empty segment prefix.
+    """
+    lo, hi = segment
+    vs = canonical_set(W, P)
+    if not vs:
+        return lo > hi
+    if not all(isinstance(v, Tube) and v.ht == 0 for v in vs):
+        return False
+    if len({v.family for v in vs}) > 1:
+        return False
+    family = vs[0].family
+    for split in range(lo - 1, hi + 1):
+        want = {canonical(Tube(family, 1, i, 0), P)
+                for i in range(lo, split + 1)}
+        want |= {canonical(Tube(family, 0, i, 0), P)
+                 for i in range(split + 1, hi + 1)}
+        if set(vs) == want:
+            return True
+    return False
 
 
 class TestChainShape:
