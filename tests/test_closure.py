@@ -359,7 +359,7 @@ class TestSweepBeyondAcceptance:
     its `derived`, and so does the flagship at four periods.  The pins were
     recorded from the engine before the bitmask joins."""
 
-    BUDGET_S = 15  # about 4 s on a 2-core VM; the set-based joins took 20 s
+    BUDGET_S = 15  # about 2 s on a 2-core VM; the set-based joins took 20 s
 
     def test_three_four_systems_and_flagship_four_periods(self):
         start = time.perf_counter()
