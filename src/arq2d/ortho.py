@@ -106,57 +106,107 @@ def maximality(S, P: Params, parts=None) -> MaximalityReport:
     )
 
 
-def _cliques(adj, cand: int) -> list[list[int]]:
-    """Maximal cliques, as lists of bit indices in no set order, of the
-    graph on the set bits of cand, where adj[i] is the neighbour mask of i.
+def _branches(adj, top: int, memo: dict, cand: int, excl: int):
+    """The search state (cand, excl) as a node of the clique DAG: a tuple of
+    (bit, child node) pairs, one per branch below which a maximal clique
+    lies; () for the state that reports the clique built so far; None when
+    no maximal clique lies below.  Bit top - i stands for vertex i.
 
     Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka & Takahashi 2006)
     over int bitsets.  The pivot is the vertex of cand | excl with the most
-    neighbours in cand; only the set bits of cand | excl are scanned.  An
-    empty cand has no cliques.
+    neighbours in cand; only the set bits of cand | excl are scanned.  The
+    pivot, the branches and the cliques below a state depend on
+    (cand, excl) alone, not on the clique built so far, so memo keeps one
+    node per state and the search tree folds into a DAG.
     """
+    if not cand:
+        return None if excl else ()
+    best, pivot_adj, rest = -1, 0, cand | excl
+    while rest:
+        low = rest & -rest
+        nbrs = adj[low.bit_length() - 1]
+        count = (cand & nbrs).bit_count()
+        if count > best:
+            best, pivot_adj = count, nbrs
+        rest ^= low
+    found = []
+    todo = cand & ~pivot_adj
+    while todo:
+        low = todo & -todo
+        i = low.bit_length() - 1
+        nbrs = adj[i]
+        state = (cand & nbrs, excl & nbrs)
+        if state in memo:
+            child = memo[state]
+        else:
+            child = memo[state] = _branches(adj, top, memo, *state)
+        if child is not None:
+            found.append((1 << (top - i), child))
+        cand ^= low
+        excl |= low
+        todo ^= low
+    return tuple(found) or None
+
+
+def _cliques(adj, cand: int) -> list[int]:
+    """Maximal cliques of the graph on the set bits of cand, where adj[i]
+    is the neighbour mask of i.  An empty cand has no cliques.
+
+    Each clique is a mask in which bit len(adj) - 1 - i stands for vertex
+    i, and the masks come in descending order.  For an antichain (here,
+    maximal cliques, each joined with one common seed) that is the order
+    of sorted index tuples: A precedes B exactly when the lowest index in
+    A ^ B lies in A, and reversed, that index is the highest bit of the
+    difference.  The memoized search (_branches) builds the DAG of
+    productive states; one walk with an explicit stack emits each clique
+    once.
+    """
+    if not cand:
+        return []
+    memo = {}
+    root = _branches(adj, len(adj) - 1, memo, cand, 0)
+    del memo  # the DAG below root holds only productive states
     out = []
-
-    def expand(clique, cand, excl):
-        if not cand:
-            if not excl:
-                out.append(list(clique))
-            return
-        best, pivot_adj, rest = -1, 0, cand | excl
-        while rest:
-            low = rest & -rest
-            nbrs = adj[low.bit_length() - 1]
-            count = (cand & nbrs).bit_count()
-            if count > best:
-                best, pivot_adj = count, nbrs
-            rest ^= low
-        todo = cand & ~pivot_adj
-        while todo:
-            low = todo & -todo
-            i = low.bit_length() - 1
-            clique.append(i)
-            expand(clique, cand & adj[i], excl & adj[i])
-            clique.pop()
-            cand ^= low
-            excl |= low
-            todo ^= low
-
-    if cand:
-        expand([], cand, 0)
+    stack = [(root, 0)]
+    while stack:
+        node, acc = stack.pop()
+        for bit, child in node:
+            if child:
+                stack.append((child, acc | bit))
+            else:
+                out.append(acc | bit)
+    out.sort(reverse=True)
     return out
 
 
 def _maximal(band, pool: int, seed) -> list[list[Vertex]]:
     """Maximal cliques of the band table's orthogonality graph on the pool
     mask, each joined with the seed's bit indices, in canonical order: bit
-    order is vertex_sort_key order, so sorted index tuples are."""
-    adj = [0] * len(band.cand)
+    order is vertex_sort_key order, so sorted index tuples are, and
+    _cliques returns its masks in that order.  Each vertex list is read
+    off its mask from the highest bit down, lowest index first.  Masks in
+    that order share long heads: the bits above the highest difference
+    from the previous mask are the previous list's head, copied whole."""
+    cand = band.cand
+    adj = [0] * len(cand)
     # highest bit first: on a cold table each pair is then decided as
     # _orthogonal_pair(lower, higher), which fixes the cold Hom-call count
     for i in sorted(_bits(pool), reverse=True):
         adj[i] = band.row(i, pool) & pool
-    systems = sorted(tuple(sorted(seed + c)) for c in _cliques(adj, pool))
-    return [[band.cand[i] for i in s] for s in systems]
+    top = len(cand) - 1
+    base = sum(1 << (top - i) for i in seed)
+    systems, prev, vs = [], 0, []
+    for m in _cliques(adj, pool):
+        m |= base
+        k = (m ^ prev).bit_length()
+        vs = vs[:(m >> k).bit_count()]
+        prev, rest = m, m & ((1 << k) - 1)
+        while rest:
+            j = rest.bit_length() - 1
+            vs.append(cand[top - j])
+            rest ^= 1 << j
+        systems.append(vs)
+    return systems
 
 
 def maximal_systems_containing(S, P: Params, parts=None):
@@ -206,19 +256,21 @@ def paired_pool(family, kind, idx, height, P: Params) -> list[Tube]:
 def _all_systems(band, pool: int) -> list[list[Vertex]]:
     """Every orthogonal subset of the pool mask, depth first in bit order."""
     out = []
-
-    def extend(prefix, cand):
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            cand ^= low
-            prefix.append(band.cand[i])
-            out.append(list(prefix))
-            extend(prefix, cand & band.row(i, cand))
-            prefix.pop()
-
-    extend([], pool)
+    _extend(band, out, [], pool)
     return out
+
+
+def _extend(band, out, prefix, cand):
+    """Append prefix plus each nonempty orthogonal subset of cand, depth
+    first."""
+    while cand:
+        low = cand & -cand
+        i = low.bit_length() - 1
+        cand ^= low
+        prefix.append(band.cand[i])
+        out.append(list(prefix))
+        _extend(band, out, prefix, cand & band.row(i, cand))
+        prefix.pop()
 
 
 def _enumerate_on(pool_fn, family, arg, idx, height, P: Params,

@@ -1,5 +1,6 @@
 """Orthogonal-system predicates, triangle enumeration, maximal extension."""
 
+import gc
 import itertools
 import os
 import random
@@ -38,6 +39,9 @@ from arq2d.oracle import (
 from arq2d.ortho import (
     MaximalityReport,
     NoEuclideanMember,
+    _branches,
+    _cliques,
+    _maximal,
     enumerate_ortho_on_paired,
     enumerate_ortho_on_triangle,
     enumeration_report,
@@ -241,7 +245,15 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("parts", [None, frozenset({"e0", "e1"})])
     @pytest.mark.parametrize("anchor", [Euclid(0, 1, 0), Euclid(1, 0, 2)])
     def test_anchored_systems(self, p, q, parts, anchor):
-        P = Params(p, q)
+        self.check_anchored(Params(p, q), parts, anchor)
+
+    @pytest.mark.parametrize("anchor", [Euclid(0, 1, 0), Euclid(1, 0, 2)])
+    def test_anchored_systems_four_four(self, anchor):
+        """429 systems; the oracle takes about 0.5 s per anchor."""
+        self.check_anchored(Params(4, 4), None, anchor)
+
+    @staticmethod
+    def check_anchored(P, parts, anchor):
         fast = maximal_systems_containing([anchor], P, parts=parts)
         slow = exhaustive_max_ortho(P, anchor, parts)["systems"]
         assert {tuple(s) for s in fast} == {tuple(s) for s in slow}
@@ -281,6 +293,89 @@ class TestAgainstOracle:
                                 family, kind, idx, h, P)
                         slow = _brute_orthogonal_subsets(pool, P)
                         assert fast == slow, (family, kind, h, idx)
+
+
+class _Graph:
+    """A band stand-in for _maximal: vertex i is the int i, and row(i, mask)
+    is i's neighbours in mask."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.cand = list(range(len(adj)))
+
+    def row(self, i, mask):
+        return self.adj[i] & mask
+
+
+def _random_graph(rng, n, density):
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _brute_cliques(adj, pool):
+    """Maximal cliques of the graph on the pool's vertices, as sorted index
+    tuples in sorted order, from a pass over every subset of the pool."""
+    members = [i for i in range(len(adj)) if pool >> i & 1]
+    clique = {0: True}
+    found = []
+    for k in range(1, 1 << len(members)):
+        low = (k & -k).bit_length() - 1
+        rest = k & (k - 1)
+        s = sum(1 << members[b] for b in range(len(members)) if k >> b & 1)
+        clique[k] = clique[rest] and all(
+            adj[members[low]] >> members[b] & 1
+            for b in range(len(members)) if rest >> b & 1)
+        if clique[k] and not any(adj[v] & s == s and not s >> v & 1
+                                 for v in members):
+            found.append(tuple(i for i in members if s >> i & 1))
+    return sorted(found)
+
+
+class TestCliqueSearch:
+    """The memoized clique search on random graphs, against every subset."""
+
+    def test_random_graphs_against_brute_force(self):
+        rng = random.Random(12)
+        shared_cand = 0
+        for trial in range(120):
+            n = rng.randint(0, 14)
+            density = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+            adj = _random_graph(rng, n, density)
+            pool = sum(1 << i for i in range(n)
+                       if trial % 3 == 0 or rng.random() < 0.7)
+            want = _brute_cliques(adj, pool) if pool else []
+            got = [tuple(n - 1 - j for j in reversed(list(homs._bits(m))))
+                   for m in _cliques(adj, pool)]
+            assert got == want, (n, density, pool)
+            if not pool:
+                continue
+            # a common seed outside the pool keeps the order
+            seed = [i for i in range(n) if not pool >> i & 1
+                    and rng.random() < 0.5]
+            want = sorted(tuple(sorted(seed + list(c))) for c in want)
+            assert _maximal(_Graph(adj), pool, seed) == [list(c)
+                                                         for c in want]
+            memo = {}
+            _branches(adj, n - 1, memo, pool, 0)
+            shared_cand += len(memo) - len({cand for cand, _ in memo})
+        # some state met a cand that an earlier state met with another excl
+        assert shared_cand > 0
+
+    def test_searches_leave_no_reference_cycles(self):
+        P = Params(2, 6)
+        gc.disable()
+        try:
+            gc.collect()
+            maximal_systems_containing([Euclid(0, 1, 0)], Params(5, 5))
+            enumerate_ortho_on_triangle("U", 0, 0, 3, P)
+            enumerate_ortho_on_triangle("U", 0, 0, 3, P, maximal_only=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _naive_pool(S, P):
@@ -452,16 +547,14 @@ def test_witness_pool_complete():
 def test_anchored_count_pin():
     """Observed pattern, not a theorem of the paper: the maximal systems
     through E(0,1,0) number Catalan(p+q-1) at every p, q <= 5 (429 at
-    (4,4), 4,862 at (5,5)).  Every (4,4) system's comp-1 part is the one
-    extract_params predicts.  Time budget 15 s (about 0.5 s measured on a
-    2-core VM)."""
+    (4,4), 4,862 at (5,5)) and at (6,6) (58,786).  Every (4,4) system's
+    comp-1 part is the one extract_params predicts.  Time budget 15 s
+    (about 0.5 s measured on a 2-core VM, 0.25 s of it at (6,6))."""
     t0 = time.perf_counter()
-    for p in range(1, 6):
-        for q in range(1, 6):
-            n = p + q - 1
-            systems = maximal_systems_containing([Euclid(0, 1, 0)],
-                                                 Params(p, q))
-            assert len(systems) == comb(2 * n, n) // (n + 1), (p, q)
+    for p, q in [(p, q) for p in range(1, 6) for q in range(1, 6)] + [(6, 6)]:
+        n = p + q - 1
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], Params(p, q))
+        assert len(systems) == comb(2 * n, n) // (n + 1), (p, q)
     P = Params(4, 4)
     for S in maximal_systems_containing([Euclid(0, 1, 0)], P):
         predicted = extract_params(S, P)["predictedComp1"]
