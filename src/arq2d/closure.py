@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from .model import (
     DomainError,
@@ -26,10 +26,15 @@ from .model import (
     Vertex,
     Window,
     canonical,
+    canonical_key,
     canonical_set,
     format_vertex,
+    key,
     omega,
     omega_inv,
+    omega_inv_key,
+    omega_key,
+    vertex,
     vertex_sort_key,
 )
 from .homs import QuasiCone, _bits
@@ -172,30 +177,14 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
                                      % format_vertex(u))
     run = _Fixpoint(P, window)
     for v in seeds:
-        run.add(astuple(v))
+        run.add(key(v))
     run.drain()
-    return ClosureState(frozenset(run.in_f), tuple(run.trace), window)
+    return ClosureState(frozenset(run.have.values()), tuple(run.trace),
+                        window)
 
 
-# Triangles inside the engine are raw: (family, a, mids, c), every slot a raw
-# key, (comp, x, y) for a Euclidean vertex and (family, level, idx, ht) else.
-
-def _omega(raw):
-    """Omega of a raw key, as model.omega."""
-    if len(raw) == 3:
-        c, x, y = raw
-        return (1 - c, x - c, y - c)
-    f, l, j, h = raw
-    return (f, 1 - l, j - l, h)
-
-
-def _omega_inv(raw):
-    """Omega^-1 of a raw key, as model.omega_inv."""
-    if len(raw) == 3:
-        c, x, y = raw
-        return (1 - c, x + 1 - c, y + 1 - c)
-    f, l, j, h = raw
-    return (f, 1 - l, j + 1 - l, h)
+# Triangles inside the engine are raw: (family, a, mids, c), every slot a
+# raw key of model.key, not necessarily canonical.
 
 
 def _mesh_e(c, i, j, x, y):
@@ -224,21 +213,22 @@ def _mesh_t(f, l, j, k):
 class _Fixpoint:
     """Working state of one closure run.
 
-    `have` holds the canonical keys of the derived vertices.  For each
-    component, `rows[comp][j]` is an int bitmask of the derived raw lifts
-    in row j of the box (bit i for x = x_lo + i), `cols[comp][i]` one of
-    column i (bit j for y = y_lo + j), and bit j of `gaps[comp]` is set
-    while row j has a missing cell.  `tubes` and `diags` map (family,
+    `have` maps the canonical key of each derived vertex to the vertex.
+    For each component, `rows[comp][j]` is an int bitmask of the derived
+    raw lifts in row j of the box (bit i for x = x_lo + i), `cols[comp][i]`
+    one of column i (bit j for y = y_lo + j), and bit j of `gaps[comp]` is
+    set while row j has a missing cell.  `tubes` and `diags` map (family,
     level, idx) and (family, level, (idx + ht) mod rank) to bitmasks of
     derived heights.  The lifts fill most of the box, so each join walks
     the missing cells of a line, the slots a rule can still fill, and tests
-    each with one AND against a perpendicular line.  Vertex and triangle
-    objects are built only when a rule produces a vertex.
+    each with one AND against a perpendicular line.  Triangle objects are
+    built only when a rule produces a vertex, and their slots reuse the
+    derived vertices.
     """
 
     def __init__(self, P: Params, window: Window):
         self.P, self.w = P, window
-        self.have: set = set()
+        self.have: dict = {}
         self.x0, self.y0 = window.x_lo, window.y_lo
         width = window.x_hi - window.x_lo + 1
         height = window.y_hi - window.y_lo + 1
@@ -247,23 +237,9 @@ class _Fixpoint:
         self.row_full = (1 << width) - 1
         self.gaps = [(1 << height) - 1] * 2
         self.tubes, self.diags, self.offsets = {}, {}, {}
-        self.in_f: list = []
         self.trace: list = []
         self.queue: deque = deque()
         self.axes = {"P": (1, 0, P.p), "U": (0, 1, P.q)}
-
-    def key(self, raw):
-        """Canonical key of a raw key."""
-        if len(raw) == 3:
-            c, x, y = raw
-            l = y // self.P.q
-            return (c, x + self.P.p * l, y - self.P.q * l)
-        f, l, j, h = raw
-        return (f, l, j % self.P.rank(f), h)
-
-    def vertex(self, raw) -> Vertex:
-        k = self.key(raw)
-        return Euclid(*k) if len(k) == 3 else Tube(*k)
 
     def lifts(self, key):
         """Lifts of a canonical Euclidean key, as offsets from the box's
@@ -275,7 +251,7 @@ class _Fixpoint:
         return got
 
     def add(self, key) -> Vertex:
-        self.have.add(key)
+        v = self.have[key] = vertex(key)
         if len(key) == 3:
             rows, cols = self.rows[key[0]], self.cols[key[0]]
             for i, j in self.lifts(key):
@@ -283,14 +259,11 @@ class _Fixpoint:
                 cols[i] |= 1 << j
                 if rows[j] == self.row_full:
                     self.gaps[key[0]] &= ~(1 << j)
-            v = Euclid(*key)
         else:
             f, l, j, h = key
             for index, at in ((self.tubes, j),
                               (self.diags, (j + h) % self.P.rank(f))):
                 index[f, l, at] = index.get((f, l, at), 0) | 1 << h
-            v = Tube(*key)
-        self.in_f.append(v)
         self.queue.append(key)
         return v
 
@@ -300,30 +273,38 @@ class _Fixpoint:
             key = self.queue.popleft()
             (self.pop_euclid if len(key) == 3 else self.pop_tube)(*key)
 
+    def slot(self, raw) -> Vertex:
+        """The vertex of a triangle slot, the derived one when it is."""
+        k = canonical_key(raw, self.P)
+        v = self.have.get(k)
+        return vertex(k) if v is None else v
+
     def derive(self, rule, tri, target) -> None:
-        key = self.key(target)
-        if key in self.have:
+        k = canonical_key(target, self.P)
+        if k in self.have:
             return
+        produced = self.add(k)
         family, a, mids, c = tri
-        vertex = self.vertex
-        t = DistinguishedTriangle(vertex(a), tuple(vertex(m) for m in mids),
-                                  vertex(c), family)
-        self.trace.append((rule, t, self.add(key)))
+        slot = self.slot
+        t = DistinguishedTriangle(slot(a), tuple(slot(m) for m in mids),
+                                  slot(c), family)
+        self.trace.append((rule, t, produced))
 
     def fire(self, tri) -> None:
         """Each rule of one triangle that can add a vertex, checked in full."""
         _, a, mids, c = tri
-        have, key = self.have, self.key
-        has_a, has_c = key(a) in have, key(c) in have
+        have, P = self.have, self.P
+        has_a = canonical_key(a, P) in have
+        has_c = canonical_key(c, P) in have
         if has_a and has_c:
             for m in mids:
                 self.derive("ext", tri, m)
         for m in mids:
-            if key(m) not in have:
+            if canonical_key(m, P) not in have:
                 return
-        if not has_c and key(_omega_inv(a)) in have:
+        if not has_c and omega_inv_key(a, P) in have:
             self.derive("rot-right", tri, c)
-        if not has_a and key(_omega(c)) in have:
+        if not has_a and omega_key(c, P) in have:
             self.derive("rot-left", tri, a)
 
     def corner(self, c, i, j, column) -> None:
@@ -359,7 +340,7 @@ class _Fixpoint:
                             (c, x0 + u, y0 + w))
 
     def pop_euclid(self, c, vx, vy) -> None:
-        have, key, tubes, diags = self.have, self.key, self.tubes, self.diags
+        have, P, tubes, diags = self.have, self.P, self.tubes, self.diags
         x0, y0, cap = self.x0, self.y0, self.w.tube_ht_cap
         rows, cols, d = self.rows, self.cols, 1 - c
         R, C = rows[c], cols[c]
@@ -390,12 +371,12 @@ class _Fixpoint:
                 for h in _bits(~tubes.get((f, c, at % r), 0)
                                & ((1 << top) - 1)):
                     tri = _chain(f, c, x, y, h + 1)
-                    if key(_omega(tri[3])) in have:
+                    if omega_key(tri[3], P) in have:
                         self.derive("rot-left", tri, tri[1])
         # v as Omega^-1 a (Omega c) of T-mesh-E: the mids lie on a's (c's)
         # row and column; each missing cell beyond (before) them is a c (an a)
-        for rule, u, up in (("rot-right", key(_omega((c, vx, vy))), True),
-                            ("rot-left", key(_omega_inv((c, vx, vy))), False)):
+        for rule, u, up in (("rot-right", omega_key((c, vx, vy), P), True),
+                            ("rot-left", omega_inv_key((c, vx, vy), P), False)):
             e = u[0]
             R, C = rows[e], cols[e]
             for i, j in self.lifts(u):
@@ -425,7 +406,7 @@ class _Fixpoint:
         # a chain's mid (s, t) and c (s + k, t) lie on lines s and s + k
         # along f's axis: columns for family P, rows for family U
         lines, origin = (self.cols, self.x0) if dx else (self.rows, self.y0)
-        _, al, aj, _ = self.key(_omega((f, l, j, h)))
+        _, al, aj, _ = omega_key((f, l, j, h), self.P)
         # v as a: ext fills each missing mid before a derived c; v as
         # Omega^-1 a: rot-right fills each missing c beyond a derived mid
         for level, idx, rule in ((l, j, "ext"), (al, aj, "rot-right")):

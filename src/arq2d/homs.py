@@ -40,6 +40,7 @@ from .model import (
     canonical_set,
     ceil_div,
     format_vertex,
+    fundamental_domain,
     omega,
     vertex_sort_key,
 )
@@ -98,6 +99,10 @@ def part_of(v: Vertex) -> str:
     if isinstance(v, Euclid):
         return "e%d" % v.comp
     return ("u%d" if v.family == "U" else "p%d") % v.level
+
+
+# the Euclidean axis each tube family couples to
+_AXIS = {"U": "y", "P": "x"}
 
 
 def _tube_matches(region, v) -> bool:
@@ -197,40 +202,31 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
-class XBand:
+class ResidueBand:
+    """Euclidean vertices of one component whose x (axis "x", mod p) or y
+    (axis "y", mod q) is one of the residues."""
+
+    axis: str
     comp: int
-    residues: frozenset  # mod p
+    residues: frozenset
     _moving = ("residues",)
+
+    def modulus(self, P):
+        return P.p if self.axis == "x" else P.q
 
     def contains(self, v, P):
         if not (isinstance(v, Euclid) and v.comp == self.comp):
             return False
-        return v.x % P.p in {r % P.p for r in self.residues}
+        n = self.modulus(P)
+        return (v.x if self.axis == "x" else v.y) % n in {
+            r % n for r in self.residues}
 
     def describe(self, P):
+        n = self.modulus(P)
         return {
-            "kind": "x_band",
+            "kind": self.axis + "_band",
             "comp": self.comp,
-            "residues": sorted({r % P.p for r in self.residues}),
-        }
-
-
-@dataclass(frozen=True)
-class YBand:
-    comp: int
-    residues: frozenset  # mod q
-    _moving = ("residues",)
-
-    def contains(self, v, P):
-        if not (isinstance(v, Euclid) and v.comp == self.comp):
-            return False
-        return v.y % P.q in {r % P.q for r in self.residues}
-
-    def describe(self, P):
-        return {
-            "kind": "y_band",
-            "comp": self.comp,
-            "residues": sorted({r % P.q for r in self.residues}),
+            "residues": sorted({r % n for r in self.residues}),
         }
 
 
@@ -473,15 +469,10 @@ def rsupp(X: Vertex, P: Params) -> SupportReport:
         parts["u1"] = QuasiCone("U", 1, b)
         parts["p1"] = QuasiCone("P", 1, a)
         return SupportReport(P, parts, True)
-    c, d = X.idx, X.ht
-    if X.family == "U":
-        parts["e0"] = YBand(0, frozenset(range(c, c + d + 1)))
-        parts["u0"] = TubeZone("U", 0, c, c + d, c + d, None)
-        parts["u1"] = TubeZone("U", 1, None, c, c, c + d)
-    else:
-        parts["e0"] = XBand(0, frozenset(range(c, c + d + 1)))
-        parts["p0"] = TubeZone("P", 0, c, c + d, c + d, None)
-        parts["p1"] = TubeZone("P", 1, None, c, c, c + d)
+    c, d, fam = X.idx, X.ht, X.family
+    parts["e0"] = ResidueBand(_AXIS[fam], 0, frozenset(range(c, c + d + 1)))
+    parts[fam.lower() + "0"] = TubeZone(fam, 0, c, c + d, c + d, None)
+    parts[fam.lower() + "1"] = TubeZone(fam, 1, None, c, c, c + d)
     return SupportReport(P, parts, False)
 
 
@@ -514,10 +505,7 @@ class _Band:
     def __init__(self, P: Params, ax: int):
         cand = [Euclid(comp, x, y) for comp in (0, 1)
                 for x in range(ax - P.p, ax + P.p + 1) for y in range(P.q)]
-        for family in ("U", "P"):
-            rank = P.rank(family)
-            cand += [Tube(family, level, idx, ht) for level in (0, 1)
-                     for idx in range(rank) for ht in range(rank - 1)]
+        cand += [v for v in fundamental_domain(P) if isinstance(v, Tube)]
         cand.sort(key=vertex_sort_key)
         self.P = P
         self.cand = cand
@@ -618,12 +606,8 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
     fam = X.family
     lo = fam.lower()
     other = "p" if fam == "U" else "u"
-    if fam == "U":
-        parts["e0"] = YBand(0, away)
-        parts["e1"] = YBand(1, frozenset(s + 1 for s in away))
-    else:
-        parts["e0"] = XBand(0, away)
-        parts["e1"] = XBand(1, frozenset(s + 1 for s in away))
+    parts["e0"] = ResidueBand(_AXIS[fam], 0, away)
+    parts["e1"] = ResidueBand(_AXIS[fam], 1, frozenset(s + 1 for s in away))
     parts[lo + "0"] = _union(
         _triangle_or_empty(fam, 0, c + 1, d - 2),
         TubeResidueBand(fam, 0, away, away) if away else EMPTY,

@@ -13,6 +13,11 @@ ZA~(p,q), four exceptional tubes and a family of homogeneous tubes.  Vertices:
 
 Homogeneous tubes are never materialised; operations report whether they
 would be met through boolean flags instead.
+
+A raw key is the tuple of a vertex's fields: (comp, x, y) or (family, level,
+idx, ht).  The key maps canonical_key, omega_key and omega_inv_key hold the
+only formulas for the canonical form and the syzygy; canonical, omega and
+omega_inv are views over them, and the closure engine calls them directly.
 """
 
 from __future__ import annotations
@@ -73,12 +78,51 @@ class Tube:
 Vertex = Euclid | Tube
 
 
-def canonical(v: Vertex, P: Params) -> Vertex:
-    """Canonical representative: 0 <= y < q for Euclid, 0 <= idx < rank."""
+def key(v: Vertex) -> tuple:
+    """The raw key of a vertex, as stored (no canonicalisation)."""
     if isinstance(v, Euclid):
-        l = v.y // P.q
-        return Euclid(v.comp, v.x + P.p * l, v.y - P.q * l)
-    return Tube(v.family, v.level, v.idx % P.rank(v.family), v.ht)
+        return (v.comp, v.x, v.y)
+    return (v.family, v.level, v.idx, v.ht)
+
+
+def vertex(k: tuple) -> Vertex:
+    """The vertex of a raw key; inverse of key."""
+    return Euclid(*k) if len(k) == 3 else Tube(*k)
+
+
+def canonical_key(k: tuple, P: Params) -> tuple:
+    """Canonical key: 0 <= y < q for Euclid, 0 <= idx < rank."""
+    if len(k) == 3:
+        c, x, y = k
+        l = y // P.q
+        return (c, x + P.p * l, y - P.q * l)
+    f, l, j, h = k
+    return (f, l, j % P.rank(f), h)
+
+
+def omega_key(k: tuple, P: Params) -> tuple:
+    """Canonical key of the syzygy of a raw key."""
+    if len(k) == 3:
+        c, x, y = k
+        return canonical_key((1 - c, x - c, y - c), P)
+    f, l, j, h = k
+    return canonical_key((f, 1 - l, j - l, h), P)
+
+
+def omega_inv_key(k: tuple, P: Params) -> tuple:
+    """Canonical key of the cosyzygy of a raw key."""
+    if len(k) == 3:
+        c, x, y = k
+        return canonical_key((1 - c, x + 1 - c, y + 1 - c), P)
+    f, l, j, h = k
+    return canonical_key((f, 1 - l, j + 1 - l, h), P)
+
+
+def canonical(v: Vertex, P: Params) -> Vertex:
+    """Canonical representative; v itself when it already is one."""
+    k = key(v)
+    c = canonical_key(k, P)
+    return v if c == k else vertex(c)
 
 
 def tau(v: Vertex, P: Params) -> Vertex:
@@ -96,24 +140,12 @@ def tau_inv(v: Vertex, P: Params) -> Vertex:
 
 def omega(v: Vertex, P: Params) -> Vertex:
     """Syzygy.  omega**2 == tau on every vertex."""
-    if isinstance(v, Euclid):
-        if v.comp == 0:
-            return canonical(Euclid(1, v.x, v.y), P)
-        return canonical(Euclid(0, v.x - 1, v.y - 1), P)
-    if v.level == 0:
-        return canonical(Tube(v.family, 1, v.idx, v.ht), P)
-    return canonical(Tube(v.family, 0, v.idx - 1, v.ht), P)
+    return vertex(omega_key(key(v), P))
 
 
 def omega_inv(v: Vertex, P: Params) -> Vertex:
     """Cosyzygy; also the suspension [1] of the stable category."""
-    if isinstance(v, Euclid):
-        if v.comp == 1:
-            return canonical(Euclid(0, v.x, v.y), P)
-        return canonical(Euclid(1, v.x + 1, v.y + 1), P)
-    if v.level == 1:
-        return canonical(Tube(v.family, 0, v.idx, v.ht), P)
-    return canonical(Tube(v.family, 1, v.idx + 1, v.ht), P)
+    return vertex(omega_inv_key(key(v), P))
 
 
 def is_brick_candidate(v: Vertex, P: Params) -> bool:

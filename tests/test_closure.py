@@ -4,10 +4,10 @@ import functools
 import json
 import random
 import time
-from dataclasses import astuple
 
 import pytest
 
+from arq2d import model
 from arq2d.closure import (
     DistinguishedTriangle,
     _Fixpoint,
@@ -280,7 +280,7 @@ class TestMaskInvariant:
         for P, S, w in _random_seed_windows():
             run = _Fixpoint(P, w)
             for v in canonical_set(S, P):
-                run.add(astuple(v))
+                run.add(model.key(v))
             run.drain()
             width, height = w.x_hi - w.x_lo + 1, w.y_hi - w.y_lo + 1
             rows = ([0] * height, [0] * height)
@@ -318,8 +318,8 @@ def _derived_last(P, window, premises, held):
     for group in (premises[:held] + premises[held + 1:],
                   premises[held:held + 1]):
         for v in group:
-            if astuple(v) not in run.have:
-                run.add(astuple(v))
+            if model.key(v) not in run.have:
+                run.add(model.key(v))
         run.drain()
     return run.have
 
@@ -338,7 +338,7 @@ class TestEveryPremiseTriggers:
                 for held in range(len(premises)):
                     have = _derived_last(P, window, premises, held)
                     for v in conclusions:
-                        assert astuple(v) in have, (rule, t, premises[held])
+                        assert model.key(v) in have, (rule, t, premises[held])
                     runs += 1
         return runs
 
@@ -402,6 +402,32 @@ class TestEquivariance:
             moved = [tau(v, P) for v in s]
             assert (certify_sms(moved, P)["certified"]
                     == certify_sms(s, P)["certified"]), s
+
+
+class TestWindowMonotonicity:
+    """One more period of `default_window` only adds vertices and keeps the
+    verdict, and it adds the same number of vertices to every maximal
+    system of one (p,q).  Covers every maximal system through E(0,1,0) at
+    (2,3) and (3,3), at N = 1, 2 and 3 periods."""
+
+    # about 6 s on a 2-core VM; (3,4) would add about 17 s, so it is left out
+    BUDGET_S = 30
+    GROWTH = {Params(2, 3): 130, Params(3, 3): 180}
+
+    def test_windows_nest(self):
+        start = time.perf_counter()
+        for P, growth in self.GROWTH.items():
+            for s in maximal_systems_containing([Euclid(0, 1, 0)], P):
+                prev = None
+                for n in (1, 2, 3):
+                    doc = certify_sms(s, P, default_window(s, P, n))
+                    in_f = replay_trace(s, doc["trace"], P)
+                    if prev is not None:
+                        assert prev[0] <= in_f, (s, n)
+                        assert doc["certified"] == prev[1], (s, n)
+                        assert len(in_f) - len(prev[0]) == growth, (s, n)
+                    prev = in_f, doc["certified"]
+        assert time.perf_counter() - start < self.BUDGET_S
 
 
 class TestTrace:

@@ -22,8 +22,11 @@ from arq2d.model import (
     format_vertex,
     fundamental_domain,
     is_brick_candidate,
+    key,
     omega,
     omega_inv,
+    omega_inv_key,
+    omega_key,
     parse_vertex,
     tau,
     tau_inv,
@@ -40,7 +43,8 @@ class TestCanonical:
     @given(param_vertex())
     def test_idempotent(self, pv):
         P, v = pv
-        assert canonical(canonical(v, P), P) == canonical(v, P)
+        c = canonical(v, P)
+        assert canonical(c, P) is c
 
     @given(param_vertex(), st.integers(-4, 4))
     def test_identification_orbit(self, pv, l):
@@ -68,11 +72,15 @@ class TestActions:
         cv = canonical(v, P)
         assert omega_inv(omega(v, P), P) == cv
         assert omega(omega_inv(v, P), P) == cv
+        k = key(v)
+        assert (omega_inv_key(omega_key(k, P), P)
+                == omega_key(omega_inv_key(k, P), P) == key(cv))
 
     @given(param_vertex())
     def test_omega_squared_is_tau(self, pv):
         P, v = pv
         assert omega(omega(v, P), P) == tau(v, P)
+        assert omega_key(omega_key(key(v), P), P) == key(tau(v, P))
 
     @given(param_vertex())
     def test_tau_round_trip(self, pv):
