@@ -11,17 +11,19 @@ import json
 import os
 import sys
 
-from . import brauer, closure, ortho, render
-from .homs import PART_NAMES, biperp, lsupp, part_of, rsupp
+# the layers are lazy modules (see __init__): each runs on first attribute
+# access, so a command runs only the layers it calls
+from . import brauer, closure, homs, ortho, render
 from .model import (
+    PART_NAMES,
     DomainError,
     Params,
     Window,
     canonical,
     format_vertex,
     parse_vertex,
+    part_of,
 )
-from .oracle import reproduce_frozen_counts
 
 
 def _params(args) -> Params:
@@ -107,8 +109,8 @@ def _cmd_supports(args) -> int:
     for v in members:
         rows.append({
             "vertex": format_vertex(canonical(v, P)),
-            "rsupp": rsupp(v, P).to_json(),
-            "lsupp": lsupp(v, P).to_json(),
+            "rsupp": homs.rsupp(v, P).to_json(),
+            "lsupp": homs.lsupp(v, P).to_json(),
         })
     print(_emit(rows, args))
     return 0
@@ -118,7 +120,7 @@ def _cmd_biperp(args) -> int:
     P = _params(args)
     members = _load_set(args.set)
     periods = _periods(args)
-    report = biperp(members, P)
+    report = homs.biperp(members, P)
     doc = report.to_json()
     doc["set"] = _fmt_vertices(members, P)
     doc["windowMembers"] = _window_members(report, P, periods)
@@ -162,6 +164,9 @@ def _cmd_certify_sms(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # imported here: the oracle is not a lazy module, and no other command
+    # needs it
+    from .oracle import reproduce_frozen_counts
     rows = reproduce_frozen_counts()
     if args.emit == "json":
         print(_emit(rows, args))

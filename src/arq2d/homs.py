@@ -30,6 +30,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from .model import (
+    PART_NAMES,
     DomainError,
     Euclid,
     Params,
@@ -42,6 +43,7 @@ from .model import (
     format_vertex,
     fundamental_domain,
     omega,
+    part_of,
     vertex_sort_key,
 )
 
@@ -91,15 +93,7 @@ def stable_hom_nonzero(X: Vertex, Y: Vertex, P: Params) -> bool:
 # ---------------------------------------------------------------------------
 # regions
 
-PART_NAMES = ("e0", "e1", "u0", "u1", "p0", "p1")
 PART_SWAP = {"e0": "e1", "e1": "e0", "u0": "u1", "u1": "u0", "p0": "p1", "p1": "p0"}
-
-
-def part_of(v: Vertex) -> str:
-    if isinstance(v, Euclid):
-        return "e%d" % v.comp
-    return ("u%d" if v.family == "U" else "p%d") % v.level
-
 
 # the Euclidean axis each tube family couples to
 _AXIS = {"U": "y", "P": "x"}

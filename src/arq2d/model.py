@@ -77,6 +77,16 @@ class Tube:
 
 Vertex = Euclid | Tube
 
+# the six component parts: the two Euclidean components and the two levels
+# of each exceptional tube family
+PART_NAMES = ("e0", "e1", "u0", "u1", "p0", "p1")
+
+
+def part_of(v: Vertex) -> str:
+    if isinstance(v, Euclid):
+        return "e%d" % v.comp
+    return ("u%d" if v.family == "U" else "p%d") % v.level
+
 
 def key(v: Vertex) -> tuple:
     """The raw key of a vertex, as stored (no canonicalisation)."""

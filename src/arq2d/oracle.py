@@ -16,9 +16,10 @@ from .model import (
     Window,
     canonical,
     format_vertex,
+    part_of,
     vertex_sort_key,
 )
-from .homs import part_of, stable_hom_nonzero
+from .homs import stable_hom_nonzero
 
 
 class WindowSpec(Window):

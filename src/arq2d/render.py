@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from html import escape
 
-from .homs import PART_NAMES, part_of
-from .model import (DomainError, Euclid, Params, Tube, Vertex, Window,
-                    canonical, format_vertex)
+from .model import (PART_NAMES, DomainError, Euclid, Params, Tube, Vertex,
+                    Window, canonical, format_vertex, part_of)
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 

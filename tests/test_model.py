@@ -3,6 +3,7 @@ windows, and the import boundary around the oracle."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -265,3 +266,33 @@ class TestImportBoundary:
         used = [names for module, names in _package_imports(SRC / "cli.py")
                 if module == "oracle"]
         assert used == [{"reproduce_frozen_counts"}]
+
+
+class TestPackageSurface:
+    def test_exports_are_their_modules_objects(self):
+        assert len(arq2d.__all__) == 44
+        for name in arq2d.__all__:
+            obj = getattr(arq2d, name)
+            # the Vertex union alias has no __module__ of its own
+            home = "arq2d.model" if name == "Vertex" else obj.__module__
+            assert vars(sys.modules[home])[name] is obj, name
+
+    def test_dir_lists_every_export(self):
+        assert set(arq2d.__all__) <= set(dir(arq2d))
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from arq2d import *", namespace)
+        assert all(namespace[name] is getattr(arq2d, name)
+                   for name in arq2d.__all__)
+
+    def test_submodule_names_stay_modules(self):
+        for name in ("closure", "render"):
+            assert getattr(arq2d, name) is sys.modules["arq2d." + name]
+        assert arq2d.closure.certify_sms is arq2d.certify_sms
+        assert arq2d.render.layout is arq2d.layout
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            arq2d.no_such_name
+        assert not hasattr(arq2d, "reproduce_frozen_counts")

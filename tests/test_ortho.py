@@ -574,6 +574,67 @@ def test_import_leaves_networkx_out():
     assert out.strip() == "[]"
 
 
+# Prints the arq2d modules that have run.  A lazy module turns into a plain
+# module when its first attribute access runs it; type() reads no attribute,
+# so the check runs nothing itself.
+RAN = ("import sys, types\n"
+       "def ran():\n"
+       "    return sorted(m for m in ('model', 'homs', 'ortho', 'closure',\n"
+       "                              'brauer', 'render', 'oracle')\n"
+       "                  if type(sys.modules.get('arq2d.' + m))\n"
+       "                  is types.ModuleType)\n")
+
+
+def run_fresh(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(arq2d.__file__))
+    return subprocess.run([sys.executable, "-c", RAN + code],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
+def test_import_runs_no_layer():
+    assert run_fresh("import arq2d; print(ran())").strip() == "[]"
+
+
+def test_cli_registers_every_layer():
+    # bench/tracing.py patches all six layers after `import arq2d.cli`
+    out = run_fresh("import arq2d.cli; print([m for m in ('model', 'homs', "
+                    "'ortho', 'closure', 'brauer', 'render') "
+                    "if 'arq2d.' + m not in sys.modules])")
+    assert out.strip() == "[]"
+
+
+# each command and the layers it runs, in sorted order
+COMMAND_LAYERS = [
+    (["classify", "GRAPH"], ["brauer", "model"]),
+    (["algebra", "GRAPH", "--emit", "json"], ["brauer", "model"]),
+    (["supports", "--p", "2", "--q", "2", "--set", "E(0,0,0)"],
+     ["homs", "model"]),
+    (["biperp", "--p", "2", "--q", "2", "--set", "E(0,0,0)"],
+     ["homs", "model"]),
+    (["render", "e0", "--p", "2", "--q", "2"], ["model", "render"]),
+    (["enumerate-max", "--p", "2", "--q", "2", "--set", "E(0,1,0)"],
+     ["homs", "model", "ortho"]),
+    (["certify-sms", "--p", "2", "--q", "2", "--set", "E(0,0,0)"],
+     ["closure", "homs", "model", "ortho"]),
+    (["oracle-check"], ["homs", "model", "oracle"]),
+]
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS,
+                         ids=[argv[0] for argv, _ in COMMAND_LAYERS])
+def test_each_command_runs_only_its_layers(argv, layers, square_path):
+    argv = [square_path if a == "GRAPH" else a for a in argv]
+    out = run_fresh("import contextlib, io\n"
+                    "from arq2d.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    code = main(%r)\n"
+                    "print(code, ran())" % argv)
+    code, ran = out.split(" ", 1)
+    assert code == ("3" if argv[0] == "oracle-check" else "0")
+    assert ran.strip() == repr(layers)
+
+
 def quasi_simple_chain_shape(W, segment, P: Params) -> bool:
     """Check the normal form: level-1 indices lo..split, level-0 split+1..hi.
 
