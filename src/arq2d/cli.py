@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-# the layers are lazy modules (see __init__): each runs on first attribute
-# access, so a command runs only the layers it calls
+# the layers are lazy modules (see __init__) that run on first attribute
+# access; a `from .homs import ...` here would run homs for every command
 from . import brauer, closure, homs, ortho, render
 from .model import (
     PART_NAMES,
