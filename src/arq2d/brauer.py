@@ -10,9 +10,9 @@ ends, so loops occupy two positions of the same rotation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .model import DomainError
+from .model import DomainError, Value
 
 HalfEdge = tuple[str, int]
 
@@ -33,12 +33,12 @@ class UnsupportedMultiplicity(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class BrauerGraph:
-    vertices: tuple[str, ...]
-    multiplicity: dict[str, int]
-    edges: dict[str, tuple[str, str]]
-    rotation: dict[str, tuple[HalfEdge, ...]]
+class BrauerGraph(Value, namedtuple("BrauerGraph",
+                                     "vertices multiplicity edges rotation")):
+    """vertices: a tuple of vertex ids; multiplicity: id -> int; edges: edge
+    id -> its two endpoint ids; rotation: vertex id -> its HalfEdge tuple."""
+
+    __slots__ = ()
 
     @property
     def edge_count(self) -> int:
@@ -48,15 +48,11 @@ class BrauerGraph:
         return len(self.rotation[v])
 
 
-@dataclass(frozen=True)
-class DomesticClass:
-    tag: str
-    n: int
-    p: int | None = None
-    q: int | None = None
-    cycle_length: int | None = None
-    inside_count: int | None = None
-    outside_count: int | None = None
+class DomesticClass(Value, namedtuple(
+        "DomesticClass",
+        "tag n p q cycle_length inside_count outside_count",
+        defaults=(None,) * 5)):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out: dict = {"tag": self.tag}
@@ -67,21 +63,15 @@ class DomesticClass:
         return out
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
-    owner: str
+class Arrow(Value, namedtuple("Arrow", "name source target owner")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value, namedtuple("Relation", "kind paths")):
     """paths hold arrow names in traversal order; two paths mean the formal
     difference path[0] - path[1], one path means the monomial itself."""
 
-    kind: str
-    paths: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
     def display(self) -> str:
         # written with the first-applied arrow rightmost
@@ -89,13 +79,12 @@ class Relation:
         return " - ".join(words)
 
 
-@dataclass(frozen=True)
-class QuiverPresentation:
-    quiver_vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    type_i: tuple[Relation, ...]
-    type_ii: tuple[Relation, ...]
-    type_iii: tuple[Relation, ...]
+class QuiverPresentation(Value, namedtuple(
+        "QuiverPresentation",
+        "quiver_vertices arrows type_i type_ii type_iii")):
+    """Tuples of vertex names, Arrows and Relations of each type."""
+
+    __slots__ = ()
 
     def degree_bounds_ok(self) -> bool:
         ins: dict[str, int] = {}

@@ -15,14 +15,14 @@ and conclusion.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .model import (
     DomainError,
     Euclid,
     Params,
     Tube,
+    Value,
     Vertex,
     Window,
     canonical,
@@ -73,12 +73,10 @@ def default_window(S, P: Params, periods: int = 1) -> Window:
                   periods * max(P.p, P.q) - 1)
 
 
-@dataclass(frozen=True)
-class DistinguishedTriangle:
-    a: Vertex
-    mids: tuple[Vertex, ...]
-    c: Vertex
-    family: str
+class DistinguishedTriangle(Value, namedtuple("DistinguishedTriangle",
+                                               "a mids c family")):
+    # mids: a tuple of vertices
+    __slots__ = ()
 
     def sort_key(self):
         return (self.family, vertex_sort_key(self.a),
@@ -151,11 +149,8 @@ def triangle_catalog(P: Params, window: Window):
     return sorted(tris.values(), key=DistinguishedTriangle.sort_key)
 
 
-@dataclass(frozen=True)
-class ClosureState:
-    in_f: frozenset
-    trace: tuple
-    window: Window
+class ClosureState(Value, namedtuple("ClosureState", "in_f trace window")):
+    __slots__ = ()
 
 
 def closure(S, P: Params, window: Window | None = None) -> ClosureState:

@@ -27,7 +27,7 @@ reads a table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .model import (
     PART_NAMES,
@@ -35,6 +35,7 @@ from .model import (
     Euclid,
     Params,
     Tube,
+    Value,
     Vertex,
     box_shifts,
     canonical,
@@ -107,8 +108,9 @@ def _tube_matches(region, v) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Value, namedtuple("Empty", ())):
+    __slots__ = ()
+
     def contains(self, v, P):
         return False
 
@@ -116,9 +118,8 @@ class Empty:
         return {"kind": "empty"}
 
 
-@dataclass(frozen=True)
-class All:
-    part: str
+class All(Value, namedtuple("All", "part")):
+    __slots__ = ()
 
     def contains(self, v, P):
         return part_of(v) == self.part
@@ -127,9 +128,9 @@ class All:
         return {"kind": "all", "part": self.part}
 
 
-@dataclass(frozen=True)
-class FiniteSet:
-    vertices: frozenset  # canonical forms
+class FiniteSet(Value, namedtuple("FiniteSet", "vertices")):
+    # vertices: a frozenset of canonical forms
+    __slots__ = ()
 
     def contains(self, v, P):
         return canonical(v, P) in self.vertices
@@ -139,11 +140,8 @@ class FiniteSet:
         return {"kind": "set", "vertices": [format_vertex(v) for v in vs]}
 
 
-@dataclass(frozen=True)
-class ForwardCone:
-    comp: int
-    x: int
-    y: int
+class ForwardCone(Value, namedtuple("ForwardCone", "comp x y")):
+    __slots__ = ()
     _moving = ("x", "y")
 
     def contains(self, v, P):
@@ -155,11 +153,8 @@ class ForwardCone:
         return {"kind": "forward_cone", "comp": self.comp, "x": self.x, "y": self.y}
 
 
-@dataclass(frozen=True)
-class BackwardCone:
-    comp: int
-    x: int
-    y: int
+class BackwardCone(Value, namedtuple("BackwardCone", "comp x y")):
+    __slots__ = ()
     _moving = ("x", "y")
 
     def contains(self, v, P):
@@ -171,13 +166,8 @@ class BackwardCone:
         return {"kind": "backward_cone", "comp": self.comp, "x": self.x, "y": self.y}
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    comp: int
-    x_lo: int
-    x_hi: int
-    y_lo: int
-    y_hi: int
+class Rectangle(Value, namedtuple("Rectangle", "comp x_lo x_hi y_lo y_hi")):
+    __slots__ = ()
     _moving = ("x_lo", "x_hi", "y_lo", "y_hi")
 
     def contains(self, v, P):
@@ -195,14 +185,11 @@ class Rectangle:
         }
 
 
-@dataclass(frozen=True)
-class ResidueBand:
+class ResidueBand(Value, namedtuple("ResidueBand", "axis comp residues")):
     """Euclidean vertices of one component whose x (axis "x", mod p) or y
-    (axis "y", mod q) is one of the residues."""
+    (axis "y", mod q) is one of the residues (a frozenset)."""
 
-    axis: str
-    comp: int
-    residues: frozenset
+    __slots__ = ()
     _moving = ("residues",)
 
     def modulus(self, P):
@@ -224,14 +211,11 @@ class ResidueBand:
         }
 
 
-@dataclass(frozen=True)
-class QuasiCone:
+class QuasiCone(Value, namedtuple("QuasiCone", "family level idx")):
     """Vertices of one tube level whose quasi-composition covers a fixed
     quasi-simple index: some lift i' of the vertex has i' <= idx <= i' + ht."""
 
-    family: str
-    level: int
-    idx: int
+    __slots__ = ()
     _moving = ("idx",)
 
     def contains(self, v, P):
@@ -248,15 +232,12 @@ class QuasiCone:
         }
 
 
-@dataclass(frozen=True)
-class TriangleArea:
+class TriangleArea(Value,
+                   namedtuple("TriangleArea", "family level idx apex_ht")):
     """Finite wing below an apex: some lift i' has idx <= i' and
     i' + ht <= idx + apex_ht.  Empty when apex_ht < 0."""
 
-    family: str
-    level: int
-    idx: int
-    apex_ht: int
+    __slots__ = ()
     _moving = ("idx",)
 
     def contains(self, v, P):
@@ -276,17 +257,12 @@ class TriangleArea:
         }
 
 
-@dataclass(frozen=True)
-class TubeZone:
+class TubeZone(Value, namedtuple(
+        "TubeZone", "family level idx_lo idx_hi top_lo top_hi")):
     """One existential lift i' with idx_lo <= i' <= idx_hi and
     top_lo <= i' + ht <= top_hi.  None bounds are infinite."""
 
-    family: str
-    level: int
-    idx_lo: object
-    idx_hi: object
-    top_lo: object
-    top_hi: object
+    __slots__ = ()
     _moving = ("idx_lo", "idx_hi", "top_lo", "top_hi")
 
     def contains(self, v, P):
@@ -310,15 +286,12 @@ class TubeZone:
         }
 
 
-@dataclass(frozen=True)
-class TubeResidueBand:
-    """Residue conditions on the index and on index+ht separately; carries
-    the top-periodic part of tube/tube bi-perps."""
+class TubeResidueBand(Value, namedtuple(
+        "TubeResidueBand", "family level idx_residues top_residues")):
+    """Residue conditions (frozensets) on the index and on index+ht
+    separately; carries the top-periodic part of tube/tube bi-perps."""
 
-    family: str
-    level: int
-    idx_residues: frozenset
-    top_residues: frozenset
+    __slots__ = ()
     _moving = ("idx_residues", "top_residues")
 
     def contains(self, v, P):
@@ -340,9 +313,8 @@ class TubeResidueBand:
         }
 
 
-@dataclass(frozen=True)
-class Union:
-    members: tuple
+class Union(Value, namedtuple("Union", "members")):
+    __slots__ = ()
 
     def contains(self, v, P):
         return any(m.contains(v, P) for m in self.members)
@@ -351,9 +323,8 @@ class Union:
         return {"kind": "union", "members": [m.describe(P) for m in self.members]}
 
 
-@dataclass(frozen=True)
-class Intersection:
-    members: tuple
+class Intersection(Value, namedtuple("Intersection", "members")):
+    __slots__ = ()
 
     def contains(self, v, P):
         return all(m.contains(v, P) for m in self.members)
@@ -414,18 +385,18 @@ def omega_inv_region(r, P: Params):
     d = 0 if getattr(r, side) else 1
     changes = {name: _shifted(getattr(r, name), d) for name in moving}
     changes[side] = 1 - getattr(r, side)
-    return replace(r, **changes)
+    # _replace skips __new__, which is safe because no region checks fields
+    return r._replace(**changes)
 
 
 # ---------------------------------------------------------------------------
 # support reports
 
 
-@dataclass
-class SupportReport:
-    P: Params
-    parts: dict  # part name -> region
-    homogeneous_meets: bool
+class SupportReport(Value, namedtuple("SupportReport",
+                                       "P parts homogeneous_meets")):
+    # parts: part name -> region
+    __slots__ = ()
 
     def contains(self, v: Vertex) -> bool:
         return self.parts[part_of(v)].contains(v, self.P)
@@ -464,7 +435,9 @@ def rsupp(X: Vertex, P: Params) -> SupportReport:
         parts["p1"] = QuasiCone("P", 1, a)
         return SupportReport(P, parts, True)
     c, d, fam = X.idx, X.ht, X.family
-    parts["e0"] = ResidueBand(_AXIS[fam], 0, frozenset(range(c, c + d + 1)))
+    # the residues c..c+d mod the rank; a tall vertex covers every residue
+    last = c + min(d, P.rank(fam) - 1)
+    parts["e0"] = ResidueBand(_AXIS[fam], 0, frozenset(range(c, last + 1)))
     parts[fam.lower() + "0"] = TubeZone(fam, 0, c, c + d, c + d, None)
     parts[fam.lower() + "1"] = TubeZone(fam, 1, None, c, c, c + d)
     return SupportReport(P, parts, False)

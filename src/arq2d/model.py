@@ -14,6 +14,11 @@ ZA~(p,q), four exceptional tubes and a family of homogeneous tubes.  Vertices:
 Homogeneous tubes are never materialised; operations report whether they
 would be met through boolean flags instead.
 
+Value types are collections.namedtuple classes with the Value mixin: they
+are immutable, print as Name(field=value, ...), and compare equal only to
+an instance of the same class.  A class that checks its fields does so in
+__new__; _replace and _make skip those checks.
+
 A raw key is the tuple of a vertex's fields: (comp, x, y) or (family, level,
 idx, ht).  The key maps canonical_key, omega_key and omega_inv_key hold the
 only formulas for the canonical form and the syzygy; canonical, omega and
@@ -23,7 +28,7 @@ omega_inv are views over them, and the closure engine calls them directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class DomainError(Exception):
@@ -34,45 +39,55 @@ class HeightOutOfRange(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class Params:
-    p: int
-    q: int
+class Value(tuple):
+    """Mixin placed before a namedtuple base.  Equality is type-strict, so
+    a value never equals a plain tuple or a value of another class with the
+    same fields; hashing stays tuple hashing."""
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Params(Value, namedtuple("Params", "p q")):
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if p < 1 or q < 1:
             raise DomainError("component parameters must be positive")
+        return tuple.__new__(cls, (p, q))
 
     def rank(self, family: str) -> int:
         # "U" tubes wrap in y (rank q), "P" tubes wrap in x (rank p)
         return self.q if family == "U" else self.p
 
 
-@dataclass(frozen=True)
-class Euclid:
-    comp: int
-    x: int
-    y: int
+class Euclid(Value, namedtuple("Euclid", "comp x y")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.comp not in (0, 1):
+    def __new__(cls, comp, x, y):
+        if comp not in (0, 1):
             raise DomainError("Euclidean component index must be 0 or 1")
+        return tuple.__new__(cls, (comp, x, y))
 
 
-@dataclass(frozen=True)
-class Tube:
-    family: str
-    level: int
-    idx: int
-    ht: int
+class Tube(Value, namedtuple("Tube", "family level idx ht")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("U", "P"):
+    def __new__(cls, family, level, idx, ht):
+        if family not in ("U", "P"):
             raise DomainError("tube family must be 'U' or 'P'")
-        if self.level not in (0, 1):
+        if level not in (0, 1):
             raise DomainError("tube level must be 0 or 1")
-        if self.ht < 0:
+        if ht < 0:
             raise HeightOutOfRange("tube height must be >= 0")
+        return tuple.__new__(cls, (family, level, idx, ht))
 
 
 Vertex = Euclid | Tube
@@ -90,9 +105,7 @@ def part_of(v: Vertex) -> str:
 
 def key(v: Vertex) -> tuple:
     """The raw key of a vertex, as stored (no canonicalisation)."""
-    if isinstance(v, Euclid):
-        return (v.comp, v.x, v.y)
-    return (v.family, v.level, v.idx, v.ht)
+    return tuple(v)
 
 
 def vertex(k: tuple) -> Vertex:
@@ -209,25 +222,20 @@ def box_shifts(P: Params, x: int, y: int, x_lo: int, x_hi: int, y_lo: int,
     return range(lo, hi + 1)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value, namedtuple("Window", "P x_lo x_hi y_lo y_hi tube_ht_cap")):
     """A finite slice of the quiver: the raw box [x_lo, x_hi] x [y_lo, y_hi]
     on the universal cover of both Euclidean components, and every tube
     vertex up to height tube_ht_cap.  A Euclidean vertex is in the window
     when some representative of its shift class lands in the box."""
 
-    P: Params
-    x_lo: int
-    x_hi: int
-    y_lo: int
-    y_hi: int
-    tube_ht_cap: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x_hi < self.x_lo or self.y_hi < self.y_lo:
+    def __new__(cls, P, x_lo, x_hi, y_lo, y_hi, tube_ht_cap):
+        if x_hi < x_lo or y_hi < y_lo:
             raise DomainError("empty window")
-        if self.tube_ht_cap < 0:
+        if tube_ht_cap < 0:
             raise DomainError("negative tube height cap")
+        return tuple.__new__(cls, (P, x_lo, x_hi, y_lo, y_hi, tube_ht_cap))
 
     @classmethod
     def periods(cls, P: Params, n: int):

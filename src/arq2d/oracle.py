@@ -25,10 +25,13 @@ from .homs import stable_hom_nonzero
 class WindowSpec(Window):
     """A Window that covers at least one full period in each direction."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x_hi - self.x_lo + 1 < self.P.p or self.y_hi - self.y_lo + 1 < self.P.q:
             raise DomainError("window must cover at least one full period")
+        return self
 
 
 def mutually_orthogonal(a: Vertex, b: Vertex, P: Params) -> bool:

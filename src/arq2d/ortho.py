@@ -15,7 +15,7 @@ every tube brick, so tube-only sets and tube pools read the band at x = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     DomainError,
@@ -23,6 +23,7 @@ from .model import (
     HeightOutOfRange,
     Params,
     Tube,
+    Value,
     Vertex,
     canonical_set,
     format_vertex,
@@ -75,11 +76,10 @@ def euclidean_ortho_check(members, P: Params) -> bool:
     return xs[0] - xs[-1] < P.p
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
-    is_maximal: bool
-    witnesses: tuple[Vertex, ...]
-    homogeneous_blocked: bool
+class MaximalityReport(Value, namedtuple(
+        "MaximalityReport", "is_maximal witnesses homogeneous_blocked")):
+    # witnesses: a tuple of vertices
+    __slots__ = ()
 
 
 def witness_pool(S, P: Params, parts=None) -> list[Vertex]:

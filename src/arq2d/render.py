@@ -13,11 +13,11 @@ vertex (idx, ht) at (idx + ht/2, ht).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from html import escape
 
-from .model import (PART_NAMES, DomainError, Euclid, Params, Tube, Vertex,
-                    Window, canonical, format_vertex, part_of)
+from .model import (PART_NAMES, DomainError, Euclid, Tube, Value, Vertex,
+                    canonical, format_vertex, part_of)
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -26,23 +26,22 @@ class UnknownPart(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    P: Params
-    part: str
-    window: Window
-    highlights: dict[str, frozenset] = field(default_factory=dict)
-    fmt: str = "svg"
+class RenderSpec(Value, namedtuple("RenderSpec",
+                                    "P part window highlights fmt")):
+    """highlights maps a label to a frozenset of vertices; it defaults to a
+    fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, P, part, window, highlights=None, fmt="svg"):
+        if highlights is None:
+            highlights = {}
+        return tuple.__new__(cls, (P, part, window, highlights, fmt))
 
 
-@dataclass(frozen=True)
-class Node:
-    name: str
-    px: float
-    py: float
-    text: str
-    vertex: Vertex
-    label: str | None
+class Node(Value, namedtuple("Node", "name px py text vertex label")):
+    # label: the highlight label of the vertex, or None
+    __slots__ = ()
 
 
 def _ident(*parts: int) -> str:

@@ -1,6 +1,7 @@
 """Stable Hom predicate and the region calculus behind supports."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from arq2d.model import (
     Euclid,
     Params,
     Tube,
+    Window,
     canonical,
     fundamental_domain,
     omega,
@@ -121,6 +123,67 @@ class TestEquivariance:
         P, v, w = pvw
         assert stable_hom_nonzero(v, w, P) == \
             stable_hom_nonzero(canonical(v, P), canonical(w, P), P)
+
+
+def sigma_x(v):
+    """The x shift: E(c,x,y) -> E(c,x+1,y), TP(l,j,k) -> TP(l,j+1,k); fixes
+    the U tubes."""
+    if isinstance(v, Euclid):
+        return Euclid(v.comp, v.x + 1, v.y)
+    return v if v.family == "U" else Tube("P", v.level, v.idx + 1, v.ht)
+
+
+def sigma_y(v):
+    """The y shift: E(c,x,y) -> E(c,x,y+1), TU(l,j,k) -> TU(l,j+1,k); fixes
+    the P tubes."""
+    if isinstance(v, Euclid):
+        return Euclid(v.comp, v.x, v.y + 1)
+    return v if v.family == "P" else Tube("U", v.level, v.idx + 1, v.ht)
+
+
+class TestShiftSymmetry:
+    """The shifts sigma_x and sigma_y preserve the Hom predicate; tau is the
+    inverse of their composite.  This is a symmetry of the combinatorial
+    model found by running the engine, not a claim from the paper.  The
+    pairs cover (p,q) up to (5,5), and tube heights up to 6 include
+    non-bricks."""
+
+    @pytest.mark.parametrize("shift", [sigma_x, sigma_y],
+                             ids=["sigma_x", "sigma_y"])
+    @given(pvw=param_vertex_pair())
+    def test_hom_predicate_invariant(self, shift, pvw):
+        P, v, w = pvw
+        assert stable_hom_nonzero(shift(v), shift(w), P) == \
+            stable_hom_nonzero(v, w, P)
+
+    @given(pvw=param_vertex_pair())
+    def test_tau_is_the_inverse_composite(self, pvw):
+        P, v, _ = pvw
+        assert canonical(sigma_x(sigma_y(tau(v, P))), P) == canonical(v, P)
+
+
+class TestTallTube:
+    """A tube vertex of any height has a support of bounded size: rsupp
+    keeps one e0 residue per residue class."""
+
+    @pytest.mark.parametrize("v", [Tube("U", 0, 1, 10**9),
+                                   Tube("P", 1, 2, 10**9)],
+                             ids=["TU", "TP"])
+    def test_support_of_a_tall_vertex(self, v):
+        P = Params(3, 4)
+        start = time.perf_counter()
+        r, l = rsupp(v, P), lsupp(v, P)
+        assert time.perf_counter() - start < 1.0
+        # the source's e0 band sits in rsupp on level 0, in lsupp on level 1
+        band = (r if v.level == 0 else l).parts["e0"].describe(P)
+        assert band["residues"] == list(range(P.rank(v.family)))
+        probes = Window.periods(P, 2).vertices()
+        probes += [Tube(f, level, j, h) for f in "UP" for level in (0, 1)
+                   for j in range(P.rank(f))
+                   for h in (10**9 - 1, 10**9, 10**9 + 1, 3 * 10**9)]
+        for Y in probes:
+            assert r.contains(Y) == stable_hom_nonzero(v, Y, P), Y
+            assert l.contains(Y) == stable_hom_nonzero(Y, v, P), Y
 
 
 class TestQuasiSimpleCount:

@@ -2,7 +2,9 @@
 windows, and the import boundary around the oracle."""
 
 import ast
+import copy
 import pathlib
+import pickle
 import sys
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import arq2d
 from conftest import param_vertex, params_strategy
+from arq2d import brauer, closure, homs, model, ortho, render
 from arq2d.homs import Rectangle
 from arq2d.model import (
     DomainError,
@@ -18,6 +21,7 @@ from arq2d.model import (
     HeightOutOfRange,
     Params,
     Tube,
+    Value,
     Window,
     canonical,
     format_vertex,
@@ -33,6 +37,7 @@ from arq2d.model import (
     tau_inv,
     vertex_sort_key,
 )
+from arq2d.oracle import WindowSpec
 
 
 class TestCanonical:
@@ -209,6 +214,115 @@ class TestWindow:
     def test_periods_below_one_rejected(self, n):
         with pytest.raises(DomainError):
             Window.periods(Params(2, 3), n)
+
+
+_P = Params(3, 2)
+_W = Window(_P, 0, 2, 0, 1, 1)
+# one instance of every value class of the package
+VALUES = [
+    _P, Euclid(0, 1, -1), Tube("U", 1, 2, 0), _W,
+    homs.Empty(), homs.All("e0"), homs.FiniteSet(frozenset({Euclid(0, 1, 0)})),
+    homs.ForwardCone(0, 1, 2), homs.BackwardCone(1, 1, 2),
+    homs.Rectangle(0, 0, 1, -1, 1), homs.ResidueBand("x", 0, frozenset({1})),
+    homs.QuasiCone("U", 1, 0), homs.TriangleArea("P", 0, 1, 2),
+    homs.TubeZone("U", 0, None, 1, 1, None),
+    homs.TubeResidueBand("U", 1, frozenset({0}), frozenset({1})),
+    homs.Union((homs.All("e0"), homs.QuasiCone("P", 1, 1))),
+    homs.Intersection((homs.All("u1"), homs.QuasiCone("U", 1, 1))),
+    homs.SupportReport(_P, {"e0": homs.All("e0")}, True),
+    brauer.BrauerGraph(("a", "b"), {"a": 1, "b": 2}, {"1": ("a", "b")},
+                       {"a": (("1", 0),), "b": (("1", 1),)}),
+    brauer.DomesticClass("OutOfScope", 3),
+    brauer.Arrow("a:0", "1", "2", "a"),
+    brauer.Relation("typeI", (("a:0", "b:0"), ("a:1",))),
+    brauer.QuiverPresentation(("1",), (), (), (), ()),
+    render.RenderSpec(_P, "e0", _W),
+    render.Node("n0_0", 0.0, 0.0, "E(0,0,0)", Euclid(0, 0, 0), None),
+    closure.DistinguishedTriangle(Euclid(0, 0, 0), (Euclid(0, 0, 1),),
+                                  Euclid(0, 1, 1), "T-mesh-E"),
+    closure.ClosureState(frozenset({(0, 1, 0)}), (), _W),
+    ortho.MaximalityReport(False, (Euclid(0, 1, 0),), True),
+]
+
+
+class TestValueContract:
+    """Every value class is a namedtuple with the Value mixin: immutable,
+    printed as Name(field=value, ...), equal only within its class, and
+    copied or pickled whole."""
+
+    def test_every_value_class_is_listed(self):
+        classes = {obj for module in (model, homs, brauer, render, closure,
+                                      ortho)
+                   for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Value)
+                   and obj.__module__ == module.__name__ and obj is not Value}
+        assert {type(v) for v in VALUES} == classes
+        assert len(classes) == len(VALUES) == 28
+
+    @pytest.mark.parametrize("v", VALUES, ids=lambda v: type(v).__name__)
+    def test_contract(self, v):
+        fields = ", ".join("%s=%r" % (name, getattr(v, name))
+                           for name in v._fields)
+        assert repr(v) == "%s(%s)" % (type(v).__name__, fields)
+        for name in v._fields + ("not_a_field",):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0)
+        for twin in (copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is type(v) and twin == v
+            assert not twin != v
+        assert v != tuple(v) and tuple(v) != v
+
+    def test_equality_is_type_strict(self):
+        assert homs.ForwardCone(0, 1, 2) != homs.BackwardCone(0, 1, 2)
+        assert hash(homs.ForwardCone(0, 1, 2)) == hash((0, 1, 2))
+        assert Euclid(0, 1, 0) != (0, 1, 0)
+        assert (0, 1, 0) != Euclid(0, 1, 0)
+        assert Euclid(0, 1, 0) not in {(0, 1, 0)}
+        assert (0, 1, 0) not in {Euclid(0, 1, 0)}
+        spec = WindowSpec(_P, 0, 2, 0, 1, 1)
+        assert spec != _W and _W != spec
+        assert spec == WindowSpec(*_W)
+
+    def test_keyword_construction_and_defaults(self):
+        assert Euclid(comp=0, x=1, y=-1) == Euclid(0, 1, -1)
+        assert Window(P=_P, x_lo=0, x_hi=2, y_lo=0, y_hi=1,
+                      tube_ht_cap=1) == _W
+        cls = brauer.DomesticClass("OutOfScope", n=3)
+        assert cls[2:] == (None,) * 5
+        a, b = render.RenderSpec(_P, "e0", _W), render.RenderSpec(_P, "e0", _W)
+        assert a.highlights == {} and a.highlights is not b.highlights
+        assert a.fmt == "svg"
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Params(0, 1), DomainError,
+         "component parameters must be positive"),
+        (lambda: Params(p=2, q=-1), DomainError,
+         "component parameters must be positive"),
+        (lambda: Euclid(2, 0, 0), DomainError,
+         "Euclidean component index must be 0 or 1"),
+        (lambda: Euclid(comp=-1, x=0, y=0), DomainError,
+         "Euclidean component index must be 0 or 1"),
+        (lambda: Tube("X", 0, 0, 0), DomainError,
+         "tube family must be 'U' or 'P'"),
+        (lambda: Tube("U", 2, 0, 0), DomainError, "tube level must be 0 or 1"),
+        (lambda: Tube("U", 0, 0, -1), HeightOutOfRange,
+         "tube height must be >= 0"),
+        (lambda: Window(_P, 1, 0, 0, 1, 0), DomainError, "empty window"),
+        (lambda: Window(_P, 0, 1, 1, 0, 0), DomainError, "empty window"),
+        (lambda: Window(_P, 0, 1, 0, 1, -1), DomainError,
+         "negative tube height cap"),
+        (lambda: WindowSpec(_P, 0, 1, 0, 3, 1), DomainError,
+         "window must cover at least one full period"),
+        (lambda: WindowSpec(_P, 0, 3, 0, 3, -1), DomainError,
+         "negative tube height cap"),
+        (lambda: WindowSpec.periods(_P, 0), DomainError,
+         "a window spans at least 1 period (got 0)"),
+    ])
+    def test_validation_errors(self, build, error, message):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 SRC = pathlib.Path(arq2d.__file__).parent

@@ -624,14 +624,18 @@ COMMAND_LAYERS = [
 @pytest.mark.parametrize("argv, layers", COMMAND_LAYERS,
                          ids=[argv[0] for argv, _ in COMMAND_LAYERS])
 def test_each_command_runs_only_its_layers(argv, layers, square_path):
+    # the value types are namedtuples: building dataclasses costs a command
+    # milliseconds at start-up, so no command may import the module
     argv = [square_path if a == "GRAPH" else a for a in argv]
     out = run_fresh("import contextlib, io\n"
                     "from arq2d.cli import main\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                     "    code = main(%r)\n"
-                    "print(code, ran())" % argv)
-    code, ran = out.split(" ", 1)
+                    "print(code, 'dataclasses' in sys.modules, ran())"
+                    % argv)
+    code, dataclasses, ran = out.split(" ", 2)
     assert code == ("3" if argv[0] == "oracle-check" else "0")
+    assert dataclasses == "False"
     assert ran.strip() == repr(layers)
 
 
