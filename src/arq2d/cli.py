@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 rejected input (domain errors), 2 usage errors,
-3 oracle table mismatch.
+3 oracle table mismatch, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -32,9 +32,17 @@ def _params(args) -> Params:
     return Params(args.p, args.q)
 
 
+# the largest --window: at (3,3) certify-sms takes about 1.5 s there, and
+# render prints about 4 MB (the work grows like the square of the window)
+MAX_WINDOW = 16
+
+
 def _periods(args) -> int:
     if args.window < 1:
         raise DomainError("--window must be at least 1 (got %d)" % args.window)
+    if args.window > MAX_WINDOW:
+        raise DomainError("--window must be at most %d (got %d)"
+                          % (MAX_WINDOW, args.window))
     return args.window
 
 
@@ -267,7 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the flush at shutdown must find a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

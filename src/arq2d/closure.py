@@ -37,9 +37,8 @@ from .model import (
     vertex,
     vertex_sort_key,
 )
-from .homs import QuasiCone, _bits
-from .ortho import (NoEuclideanMember, is_orthogonal_system, maximality,
-                    witness_pool)
+from .homs import _bits, _witnesses
+from .ortho import NoEuclideanMember, _maximality, _orthogonal
 
 
 class WindowTooSmall(DomainError):
@@ -162,7 +161,11 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
     of the lifts derived so far.  Its triangles are the ones
     `triangle_catalog` lists, so it reaches the same least fixpoint.
     """
-    seeds = canonical_set(S, P)
+    return _closure(canonical_set(S, P), P, window)
+
+
+def _closure(seeds, P: Params, window: Window | None) -> ClosureState:
+    """closure of a canonical list."""
     if window is None:
         window = default_window(seeds, P)
     for v in seeds:
@@ -454,10 +457,10 @@ def trace_json_lines(trace):
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:
     vs = canonical_set(S, P)
-    if not is_orthogonal_system(vs, P):
+    if not _orthogonal(vs, P):
         raise DomainError("set is not an orthogonal system of bricks")
     has_euclid = any(isinstance(v, Euclid) for v in vs)
-    state = closure(vs, P, window)
+    state = _closure(vs, P, window)
     targets = {format_vertex(v): (omega_inv(v, P) in state.in_f) for v in vs}
     certified = has_euclid and all(targets.values())
     return {
@@ -472,16 +475,6 @@ def certify_sms(S, P: Params, window: Window | None = None) -> dict:
     }
 
 
-def _wings_clear(vs, family, level0_idx, level1_idx, P: Params) -> bool:
-    cone0 = QuasiCone(family, 0, level0_idx % P.rank(family))
-    cone1 = QuasiCone(family, 1, level1_idx % P.rank(family))
-    for v in vs:
-        if isinstance(v, Tube) and v.family == family:
-            if cone0.contains(v, P) or cone1.contains(v, P):
-                return False
-    return True
-
-
 def extract_params(S, P: Params) -> dict:
     """Gap parameters of a maximal system, plus the predicted comp-1 part.
 
@@ -494,9 +487,9 @@ def extract_params(S, P: Params) -> dict:
     vs = canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):
         raise NoEuclideanMember("parameter extraction needs a Euclidean part")
-    report = maximality(vs, P)
+    report = _maximality(vs, P)
     if not report.is_maximal:
-        if not is_orthogonal_system(vs, P):
+        if not _orthogonal(vs, P):
             raise DomainError("set is not an orthogonal system of bricks")
         raise NotMaximal("witnesses remain: %s" %
                          [format_vertex(w) for w in report.witnesses])
@@ -505,7 +498,13 @@ def extract_params(S, P: Params) -> dict:
     if not comp0:
         raise DomainError("maximal system with empty comp-0 part")
     rest = [v for v in vs if not (isinstance(v, Euclid) and v.comp == 1)]
-    comp1_witnesses = set(witness_pool(rest, P, ("e1",)))
+    band, mask = _witnesses(rest, P, ("e1",))
+    comp1_witnesses = {key(band.cand[i]): band.cand[i] for i in _bits(mask)}
+    # the (level, residue) pairs each family's tube members cover: a member
+    # covers idx..idx+ht mod the rank on its level, as QuasiCone counts it
+    covered = {f: {(v.level, (v.idx + j) % P.rank(f)) for v in vs
+                   if isinstance(v, Tube) and v.family == f
+                   for j in range(v.ht + 1)} for f in "PU"}
 
     t_list, s_list, predicted = [], [], []
     ell = len(comp0)
@@ -518,8 +517,10 @@ def extract_params(S, P: Params) -> dict:
 
         for name, family, lo, hi, out in (("t", "P", a_r + 1, a_n, t_list),
                                           ("s", "U", b_n + 1, b_r, s_list)):
+            cover, rank = covered[family], P.rank(family)
             found = [t for t in range(lo, hi + 1)
-                     if _wings_clear(vs, family, t - 1, t, P)]
+                     if (0, (t - 1) % rank) not in cover
+                     and (1, t % rank) not in cover]
             if len(found) != 1:
                 raise ParameterNotUnique("gap %d admits %s candidates %s"
                                          % (r, name, found))
@@ -527,7 +528,7 @@ def extract_params(S, P: Params) -> dict:
 
         box = [w for x in range(a_r + 1, a_n + 1)
                for y in range(b_n + 1, b_r + 1)
-               if (w := canonical(Euclid(1, x, y), P)) in comp1_witnesses]
+               if (w := comp1_witnesses.get(canonical_key((1, x, y), P)))]
         if len(box) != 1:
             raise ParameterNotUnique(
                 "gap %d rectangle admits %s" %

@@ -590,9 +590,9 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
 
 
 def _biperp_single(X: Vertex, P: Params) -> SupportReport:
-    X = canonical(X, P)
+    # X is canonical, and so is omega(X)
     if _is_unreduced(X):
-        return _transport(_biperp_single(omega(X, P), P))
+        return _transport(_biperp_single_base(omega(X, P), P))
     return _biperp_single_base(X, P)
 
 

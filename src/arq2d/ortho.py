@@ -40,10 +40,16 @@ def is_orthogonal_system(S, P: Params) -> bool:
     """Bricks with no nonzero stable Hom between distinct members, read
     from the band table of the first Euclidean member (x = 0 if none).  No
     Euclidean vertex off that band is orthogonal to that member."""
-    vs = canonical_set(S, P)
+    return _orthogonal(canonical_set(S, P), P)
+
+
+def _orthogonal(vs, P: Params, band=None) -> bool:
+    """is_orthogonal_system on a canonical list; band, when given, is the
+    table of its first Euclidean member."""
     if not all(is_brick_candidate(v, P) for v in vs):
         return False
-    band = _band(P, next((v.x for v in vs if isinstance(v, Euclid)), 0))
+    if band is None:
+        band = _band(P, next((v.x for v in vs if isinstance(v, Euclid)), 0))
     bits = [band.index.get(v) for v in vs]
     if None in bits:
         return False
@@ -94,14 +100,18 @@ def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
 
 
 def maximality(S, P: Params, parts=None) -> MaximalityReport:
-    vs = canonical_set(S, P)
-    blocked = any(isinstance(v, Euclid) for v in vs)
-    pool = witness_pool(vs, P, parts)
+    return _maximality(canonical_set(S, P), P, parts)
+
+
+def _maximality(vs, P: Params, parts=None) -> MaximalityReport:
+    """maximality of a canonical list, from one read of its band table."""
+    band, mask = _witnesses(vs, P, parts)
+    blocked = band is not None
     return MaximalityReport(
         # a member only shrinks the pool, so an empty pool alone does not
         # make a set that is not orthogonal maximal
-        is_maximal=(not pool) and blocked and is_orthogonal_system(vs, P),
-        witnesses=tuple(pool),
+        is_maximal=not mask and blocked and _orthogonal(vs, P, band),
+        witnesses=tuple(band.cand[i] for i in _bits(mask)),
         homogeneous_blocked=blocked,
     )
 
@@ -219,7 +229,7 @@ def maximal_systems_containing(S, P: Params, parts=None):
     if not any(isinstance(v, Euclid) for v in vs):
         raise NoEuclideanMember("extension pool is unbounded without a "
                                 "Euclidean member")
-    if not is_orthogonal_system(vs, P):
+    if not _orthogonal(vs, P):
         raise DomainError("seed is not an orthogonal system")
     band, pool = _witnesses(vs, P, parts)
     if not pool:

@@ -1,10 +1,14 @@
 """Command-line surface: output contracts and exit codes, in process."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import arq2d.cli
 from arq2d.cli import main
 
 
@@ -195,6 +199,17 @@ def test_window_below_one_is_domain_error(capsys, command, window):
 
 
 @pytest.mark.parametrize("command", [
+    ["biperp", "--p", "1", "--q", "1", "--set", "E(0,0,0)"],
+    ["render", "e0", "--p", "3", "--q", "3"],
+    ["certify-sms", "--p", "3", "--q", "3", "--set", TestCertifySms.SET],
+], ids=lambda argv: argv[0])
+def test_window_above_limit_is_domain_error(capsys, command):
+    code, out, err = run(capsys, *command, "--window", "17")
+    assert code == 1 and out == ""
+    assert err == "error: --window must be at most 16 (got 17)\n"
+
+
+@pytest.mark.parametrize("command", [
     ["supports", "--p", "3", "--q", "3", "--set", "E(0,0,0)"],
     ["enumerate-max", "--p", "3", "--q", "3", "--set", "E(0,1,0)"],
 ], ids=lambda argv: argv[0])
@@ -213,6 +228,24 @@ def test_window_is_usage_error_where_unused(capsys, command):
 def test_window_accepted_where_used(capsys, command):
     code, out, _ = run(capsys, *command, "--window", "2")
     assert code == 0 and out
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early, as `| head -c 10` does, gets no error
+    message, and the exit code is 128 + SIGPIPE, not the domain-error 1."""
+    src = os.path.dirname(os.path.dirname(arq2d.cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arq2d.cli", "enumerate-max", "--p", "5",
+         "--q", "5", "--set", "E(0,1,0)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    # the (5,5) output is about 0.5 MB, far more than a pipe holds
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 class TestOracleCheck:

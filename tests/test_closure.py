@@ -34,7 +34,14 @@ from arq2d.model import (
     omega_inv,
     tau,
 )
-from arq2d.ortho import NoEuclideanMember, maximal_systems_containing
+from arq2d.homs import biperp
+from arq2d.ortho import (
+    NoEuclideanMember,
+    is_orthogonal_system,
+    maximal_systems_containing,
+    maximality,
+    witness_pool,
+)
 
 P33 = Params(3, 3)
 FLAGSHIP = (Euclid(0, 1, 0), Euclid(0, -1, 2), Euclid(0, 0, 1),
@@ -539,6 +546,52 @@ class TestParameterExtraction:
             extract_params(FLAGSHIP + (Euclid(0, 1, 1),), P33)
         assert type(exc.value) is DomainError
         assert str(exc.value) == "set is not an orthogonal system of bricks"
+
+
+def _raw_lift(v, P, l):
+    """Another representative of v: (x - p*l, y + q*l), or the index plus
+    l times the rank."""
+    if isinstance(v, Euclid):
+        return Euclid(v.comp, v.x - P.p * l, v.y + P.q * l)
+    return Tube(v.family, v.level, v.idx + P.rank(v.family) * l, v.ht)
+
+
+def _answer(query, S, P):
+    try:
+        return query(S, P)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalBoundary:
+    """Each public query canonicalizes its input once and its private
+    helpers never again, so a set written as raw lifts, with duplicates and
+    in reversed order, gets the answer of its canonical list.  Checked on
+    every maximal (3,3) system through E(0,1,0) and each punctured variant:
+    294 sets.  Time budget 30 s (about 4 s measured on a 2-core VM)."""
+
+    QUERIES = {
+        "is_orthogonal_system": is_orthogonal_system,
+        "maximality": maximality,
+        "witness_pool": witness_pool,
+        "extract_params": extract_params,
+        "biperp": biperp,
+        "certify_sms": certify_sms,
+    }
+
+    def test_raw_lifts_give_the_canonical_answer(self):
+        t0 = time.perf_counter()
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P33)
+        sets = systems + [S[:i] + S[i + 1:] for S in systems
+                          for i in range(len(S))]
+        for S in sets:
+            assert canonical_set(S, P33) == S
+            raw = [_raw_lift(v, P33, i % 5 - 2) for i, v in enumerate(S)]
+            raw = (raw + [_raw_lift(v, P33, 1) for v in S[::2]])[::-1]
+            for name, query in self.QUERIES.items():
+                assert _answer(query, raw, P33) == _answer(query, S, P33), \
+                    (name, S)
+        assert time.perf_counter() - t0 < 30.0
 
 
 FLAGSHIP_CANON = tuple(canonical(v, P33) for v in FLAGSHIP)

@@ -30,6 +30,7 @@ from arq2d.model import (
     vertex_sort_key,
 )
 from arq2d.oracle import WindowSpec, brute_biperp, mutually_orthogonal
+from arq2d.ortho import maximal_systems_containing
 
 
 def quasi_simples(P):
@@ -160,6 +161,20 @@ class TestShiftSymmetry:
     def test_tau_is_the_inverse_composite(self, pvw):
         P, v, _ = pvw
         assert canonical(sigma_x(sigma_y(tau(v, P))), P) == canonical(v, P)
+
+    @pytest.mark.parametrize("shift", [sigma_x, sigma_y],
+                             ids=["sigma_x", "sigma_y"])
+    @pytest.mark.parametrize("p,q", [(3, 3), (4, 4), (3, 5)])
+    def test_shifted_anchor_gives_the_shifted_systems(self, shift, p, q):
+        # compared as sets: the shift moves tube indices, so it can change
+        # the vertex_sort_key order of the members and of the systems
+        P = Params(p, q)
+        anchor = Euclid(0, 1, 0)
+        shifted = {frozenset(canonical(shift(v), P) for v in S)
+                   for S in maximal_systems_containing([anchor], P)}
+        found = {frozenset(S)
+                 for S in maximal_systems_containing([shift(anchor)], P)}
+        assert found == shifted
 
 
 class TestTallTube:
