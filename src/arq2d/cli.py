@@ -26,15 +26,21 @@ from .model import (
 )
 
 
-def _params(args) -> Params:
-    if args.p is None or args.q is None:
-        raise DomainError("this command needs --p and --q")
-    return Params(args.p, args.q)
-
-
 # the largest --window: at (3,3) certify-sms takes about 1.5 s there, and
 # render prints about 4 MB (the work grows like the square of the window)
 MAX_WINDOW = 16
+# the largest --p and --q: certify-sms takes about 2 s and 0.5 GB at p = q =
+# 100, and 8 s and 2.4 GB at 150 (its orthogonality table grows like (pq)^2)
+MAX_PQ = 100
+
+
+def _params(args) -> Params:
+    if args.p is None or args.q is None:
+        raise DomainError("this command needs --p and --q")
+    if max(args.p, args.q) > MAX_PQ:
+        raise DomainError("--p and --q must be at most %d (got %d, %d)"
+                          % (MAX_PQ, args.p, args.q))
+    return Params(args.p, args.q)
 
 
 def _periods(args) -> int:

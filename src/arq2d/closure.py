@@ -5,11 +5,13 @@ with shift = the inverse syzygy.  The closure engine runs three rules to a
 least fixpoint over the triangles of a finite window: `ext` derives the mids
 from a and c (orthogonal seeds make the closure summand-closed), `rot-right`
 derives c from the mids and Omega^-1 a, `rot-left` a from the mids and
-Omega c.  It generates triangles on demand from the vertices it derives,
-joining bitmask rows and columns of the derived lifts from the cells still
-missing; `triangle_catalog` lists them all and serves as the reference.
-Every derivation is traced, and `replay_trace` checks each step's premises
-and conclusion.
+Omega c.  It generates triangles on demand from the vertices it derives:
+each join walks the cells still missing from a bitmask row or column of
+the derived lifts and tests a premise with one AND, against a line of the
+box, the line of the other component that holds an Omega-shifted premise,
+or a list of tube-height masks.  `triangle_catalog` lists the triangles and
+serves as the reference.  Every derivation is traced, and `replay_trace`
+checks each step's premises and conclusion.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     Value,
     Vertex,
     Window,
+    box_shifts,
     canonical,
     canonical_key,
     canonical_set,
@@ -215,11 +218,15 @@ class _Fixpoint:
     For each component, `rows[comp][j]` is an int bitmask of the derived
     raw lifts in row j of the box (bit i for x = x_lo + i), `cols[comp][i]`
     one of column i (bit j for y = y_lo + j), and bit j of `gaps[comp]` is
-    set while row j has a missing cell.  `tubes` and `diags` map (family,
-    level, idx) and (family, level, (idx + ht) mod rank) to bitmasks of
-    derived heights.  The lifts fill most of the box, so each join walks
-    the missing cells of a line, the slots a rule can still fill, and tests
-    each with one AND against a perpendicular line.  Triangle objects are
+    set while row j has a missing cell.  `tubes[f][level][idx]` has bit ht
+    for each derived tube of family f, and `diags[f][level][(idx + ht) mod
+    rank]` bit cap - ht: shifted by s - 1 - cap, it marks the mids (s - 1 -
+    ht) of the tube chains whose c is cell s of a line.  The lifts fill most
+    of the box, so each join walks the missing cells of a line, the slots a
+    rule can still fill, and tests each with one AND: against a
+    perpendicular line, a height mask, or the line of the other component
+    one over, which holds an Omega-shifted box cell unless it leaves the
+    box.  The walks along a diagonal need no test.  Triangle objects are
     built only when a rule produces a vertex, and their slots reuse the
     derived vertices.
     """
@@ -234,18 +241,23 @@ class _Fixpoint:
         self.cols = ([0] * width, [0] * width)
         self.row_full = (1 << width) - 1
         self.gaps = [(1 << height) - 1] * 2
-        self.tubes, self.diags, self.offsets = {}, {}, {}
+        self.tubes, self.diags = ({f: ([0] * P.rank(f), [0] * P.rank(f))
+                                   for f in "PU"} for _ in range(2))
+        self.offsets: dict = {}
         self.trace: list = []
         self.queue: deque = deque()
-        self.axes = {"P": (1, 0, P.p), "U": (0, 1, P.q)}
+        # family, unit step along its axis, rank, cells on its lines
+        self.axes = (("P", 1, 0, P.p, width), ("U", 0, 1, P.q, height))
 
     def lifts(self, key):
         """Lifts of a canonical Euclidean key, as offsets from the box's
         lower-left cell; cached."""
         got = self.offsets.get(key)
         if got is None:
-            got = self.offsets[key] = [(x - self.x0, y - self.y0)
-                                       for x, y in self.w.lifts(Euclid(*key))]
+            (_, x, y), w, (p, q) = key, self.w, self.P
+            got = self.offsets[key] = [
+                (x - p * l - self.x0, y + q * l - self.y0) for l in
+                box_shifts(self.P, x, y, w.x_lo, w.x_hi, w.y_lo, w.y_hi)]
         return got
 
     def add(self, key) -> Vertex:
@@ -259,9 +271,9 @@ class _Fixpoint:
                     self.gaps[key[0]] &= ~(1 << j)
         else:
             f, l, j, h = key
-            for index, at in ((self.tubes, j),
-                              (self.diags, (j + h) % self.P.rank(f))):
-                index[f, l, at] = index.get((f, l, at), 0) | 1 << h
+            self.tubes[f][l][j] |= 1 << h
+            self.diags[f][l][(j + h) % self.P.rank(f)] |= 1 << (
+                self.w.tube_ht_cap - h)
         self.queue.append(key)
         return v
 
@@ -278,32 +290,37 @@ class _Fixpoint:
         return vertex(k) if v is None else v
 
     def derive(self, rule, tri, target) -> None:
-        k = canonical_key(target, self.P)
-        if k in self.have:
+        # every Euclidean target is a box cell: its bit says if it is derived
+        if len(target) == 3:
+            c, x, y = target
+            if self.rows[c][y - self.y0] >> (x - self.x0) & 1:
+                return
+        elif canonical_key(target, self.P) in self.have:
             return
-        produced = self.add(k)
+        produced = self.add(canonical_key(target, self.P))
         family, a, mids, c = tri
         slot = self.slot
         t = DistinguishedTriangle(slot(a), tuple(slot(m) for m in mids),
                                   slot(c), family)
         self.trace.append((rule, t, produced))
 
-    def fire(self, tri) -> None:
-        """Each rule of one triangle that can add a vertex, checked in full."""
-        _, a, mids, c = tri
-        have, P = self.have, self.P
-        has_a = canonical_key(a, P) in have
-        has_c = canonical_key(c, P) in have
+    def fire(self, f, l, j, k) -> None:
+        """Each rule of the T-mesh-T from (f, l, j, k) that can add a
+        vertex, read off the height masks: Omega^-1 a is Omega c there."""
+        T, r = self.tubes[f][l], self.P.rank(f)
+        at_a, at_c = T[j % r], T[(j + 1) % r]
+        has_a, has_c = at_a >> k & 1, at_c >> k & 1
         if has_a and has_c:
-            for m in mids:
+            tri = _mesh_t(f, l, j, k)
+            for m in tri[2]:
                 self.derive("ext", tri, m)
-        for m in mids:
-            if canonical_key(m, P) not in have:
-                return
-        if not has_c and omega_inv_key(a, P) in have:
-            self.derive("rot-right", tri, c)
-        if not has_a and omega_key(c, P) in have:
-            self.derive("rot-left", tri, a)
+        elif (at_a >> (k + 1) & 1 and (not k or at_c >> (k - 1) & 1)
+              and self.tubes[f][1 - l][(j + 1 - l) % r] >> k & 1):
+            tri = _mesh_t(f, l, j, k)
+            if not has_c:
+                self.derive("rot-right", tri, tri[3])
+            if not has_a:
+                self.derive("rot-left", tri, tri[1])
 
     def corner(self, c, i, j, column) -> None:
         """T-mesh-E with the comp-c lift (i, j) at a corner: walk the missing
@@ -326,10 +343,15 @@ class _Fixpoint:
                 (~line & ((1 << n) - 1) & -(2 << s), above, beyond & below,
                  "rot-right"),
                 (~line & ((1 << s) - 1), below, before & above, "rot-left")):
-            for S in _bits(missing):
-                h, name = cross[S] & ext, "ext"
+            while missing:
+                missing ^= (low := missing & -missing)
+                S = low.bit_length() - 1
+                L = cross[S]
+                if L >> t & 1:  # filled since the walk began
+                    continue
+                h, name = L & ext, "ext"
                 if not h:
-                    h, name = cross[S] & rot, rule
+                    h, name = L & rot, rule
                     if not h:
                         continue
                 T = (h & -h).bit_length() - 1 if h >> t else h.bit_length() - 1
@@ -338,7 +360,7 @@ class _Fixpoint:
                             (c, x0 + u, y0 + w))
 
     def pop_euclid(self, c, vx, vy) -> None:
-        have, P, tubes, diags = self.have, self.P, self.tubes, self.diags
+        P, tubes, diags = self.P, self.tubes, self.diags
         x0, y0, cap = self.x0, self.y0, self.w.tube_ht_cap
         rows, cols, d = self.rows, self.cols, 1 - c
         R, C = rows[c], cols[c]
@@ -346,30 +368,38 @@ class _Fixpoint:
             self.corner(c, i, j, True)
             self.corner(c, i, j, False)
             x, y = x0 + i, y0 + j
-            for f, (dx, dy, r) in self.axes.items():
-                # the line through v along f's axis, and v's offset on it
-                line, s, at = (R[j], i, x) if dx else (C[i], j, y)
-                top = min(len(C if dx else R) - 1 - s, cap + 1)
+            for f, dx, dy, r, n in self.axes:
+                # the line through v along f's axis, v's offset s on it, and
+                # the lines of the other component parallel to it
+                line, s, t, at, other = ((R[j], i, j, x, rows[d]) if dx
+                                         else (C[i], j, i, y, cols[d]))
+                # k runs to the end of the line or a tube of height cap
+                ks = (1 << (n - 1 - s if n - s < cap + 2 else cap + 1)) - 1
                 # v as the c of a tube chain: ext fills each missing mid k
                 # steps back whose tube a, on a diagonal, is derived
-                diag = diags.get((f, c, (at - 1) % r), 0)
-                for u in _bits(~line & ((1 << s) - 1)
-                               & -(1 << max(0, s - cap - 1))):
-                    if diag >> (s - u - 1) & 1:
-                        k = s - u
-                        tri = _chain(f, c, x - k * dx, y - k * dy, k)
-                        self.derive("ext", tri, tri[2][0])
-                # v as the mid: rot-right fills each missing c whose
-                # Omega^-1 a is derived, rot-left each missing tube a whose
-                # Omega c is
-                for h in _bits(~line >> (s + 1) & ((1 << top) - 1)
-                               & tubes.get((f, d, (at + d) % r), 0)):
-                    tri = _chain(f, c, x, y, h + 1)
+                lo, diag = s - 1 - cap, diags[f][c][(at - 1) % r]
+                m = ~line & (diag << lo if lo >= 0 else diag >> -lo)
+                while m:
+                    m ^= (low := m & -m)
+                    k = s + 1 - low.bit_length()
+                    tri = _chain(f, c, x - k * dx, y - k * dy, k)
+                    self.derive("ext", tri, tri[2][0])
+                # v as the mid: rot-right fills each missing c whose Omega^-1
+                # a is derived, rot-left each missing tube a whose Omega c
+                # is, k - c steps on along line t - c of the other component
+                # (looked up by key when t - c = -1 is outside the box)
+                m = ~line >> (s + 1) & ks & tubes[f][d][(at + d) % r]
+                while m:
+                    m ^= (low := m & -m)
+                    tri = _chain(f, c, x, y, low.bit_length())
                     self.derive("rot-right", tri, tri[3])
-                for h in _bits(~tubes.get((f, c, at % r), 0)
-                               & ((1 << top) - 1)):
-                    tri = _chain(f, c, x, y, h + 1)
-                    if omega_key(tri[3], P) in have:
+                m = ~tubes[f][c][at % r] & ks
+                if t >= c:
+                    m &= other[t - c] >> (s + 1 - c)
+                while m:
+                    m ^= (low := m & -m)
+                    tri = _chain(f, c, x, y, low.bit_length())
+                    if t >= c or omega_key(tri[3], P) in self.have:
                         self.derive("rot-left", tri, tri[1])
         # v as Omega^-1 a (Omega c) of T-mesh-E: the mids lie on a's (c's)
         # row and column; each missing cell beyond (before) them is a c (an a)
@@ -380,8 +410,13 @@ class _Fixpoint:
             for i, j in self.lifts(u):
                 ups = C[i] & (-(2 << j) if up else (1 << j) - 1) & self.gaps[e]
                 rights = R[j] & (-(2 << i) if up else (1 << i) - 1)
-                for Y in _bits(ups):
-                    for X in _bits(rights & ~R[Y]):
+                while ups:
+                    ups ^= (low := ups & -ups)
+                    Y = low.bit_length() - 1
+                    m = rights & ~R[Y]
+                    while m:
+                        m ^= (low := m & -m)
+                        X = low.bit_length() - 1
                         self.derive(rule, _mesh_e(e, x0 + i, y0 + j, x0 + X,
                                                   y0 + Y), (e, x0 + X, y0 + Y))
                 if up:
@@ -389,18 +424,19 @@ class _Fixpoint:
                 # v as Omega c of a tube chain: each missing tube a, on a
                 # diagonal, whose mid k steps back from c is derived
                 x, y = x0 + i, y0 + j
-                for f, (dx, dy, r) in self.axes.items():
+                for f, dx, dy, r, _ in self.axes:
                     line, s, at = (R[j], i, x) if dx else (C[i], j, y)
-                    for h in _bits(~diags.get((f, e, (at - 1) % r), 0)
-                                   & ((1 << min(s, cap + 1)) - 1)):
-                        if line >> (s - h - 1) & 1:
-                            k = h + 1
-                            tri = _chain(f, e, x - k * dx, y - k * dy, k)
-                            self.derive("rot-left", tri, tri[1])
+                    lo, diag = s - 1 - cap, diags[f][e][(at - 1) % r]
+                    m = line & ~(diag << lo if lo >= 0 else diag >> -lo) & (
+                        (1 << s) - (1 << max(lo, 0)))
+                    while m:  # down the line, so up the heights
+                        k = s + 1 - m.bit_length()
+                        m ^= 1 << s - k
+                        tri = _chain(f, e, x - k * dx, y - k * dy, k)
+                        self.derive("rot-left", tri, tri[1])
 
     def pop_tube(self, f, l, j, h) -> None:
-        dx, _, r = self.axes[f]
-        k = h + 1
+        dx, r, k = f == "P", self.P.rank(f), h + 1
         # a chain's mid (s, t) and c (s + k, t) lie on lines s and s + k
         # along f's axis: columns for family P, rows for family U
         lines, origin = (self.cols, self.x0) if dx else (self.rows, self.y0)
@@ -411,7 +447,10 @@ class _Fixpoint:
             L = lines[level]
             for s in range((idx - origin) % r, len(L) - k, r):
                 mid, c = L[s], L[s + k]
-                for t in _bits(c & ~mid if rule == "ext" else mid & ~c):
+                m = c & ~mid if rule == "ext" else mid & ~c
+                while m:
+                    m ^= (low := m & -m)
+                    t = low.bit_length() - 1
                     u, w = (s, t) if dx else (t, s)
                     tri = _chain(f, level, self.x0 + u, self.y0 + w, k)
                     self.derive(rule, tri,
@@ -421,7 +460,7 @@ class _Fixpoint:
         for lv, jj, kk in ((l, j, h), (l, j - 1, h), (l, j, h - 1),
                            (l, j - 1, h + 1), (1 - l, j - l, h)):
             if 0 <= kk < self.w.tube_ht_cap:
-                self.fire(_mesh_t(f, lv, jj, kk))
+                self.fire(f, lv, jj, kk)
 
 
 def replay_trace(S, trace, P: Params) -> frozenset:

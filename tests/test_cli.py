@@ -198,6 +198,26 @@ def test_window_below_one_is_domain_error(capsys, command, window):
     assert err == "error: --window must be at least 1 (got %s)\n" % window
 
 
+@pytest.mark.parametrize("pq", [("101", "3"), ("3", "101")])
+@pytest.mark.parametrize("command", [
+    ["supports", "--set", "E(0,0,0)"],
+    ["biperp", "--set", "E(0,0,0)"],
+    ["enumerate-max", "--set", "E(0,1,0)"],
+    ["render", "e0"],
+    ["certify-sms", "--set", TestCertifySms.SET],
+], ids=lambda argv: argv[0])
+def test_p_q_above_limit_is_domain_error(capsys, command, pq):
+    code, out, err = run(capsys, *command, "--p", pq[0], "--q", pq[1])
+    assert code == 1 and out == ""
+    assert err == "error: --p and --q must be at most 100 (got %s, %s)\n" % pq
+
+
+def test_p_q_at_limit_accepted(capsys):
+    code, out, _ = run(capsys, "biperp", "--p", "100", "--q", "1",
+                       "--set", "E(0,0,0)")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", [
     ["biperp", "--p", "1", "--q", "1", "--set", "E(0,0,0)"],
     ["render", "e0", "--p", "3", "--q", "3"],

@@ -1,6 +1,7 @@
 """Triangle catalog, extension-closure fixpoint, certification, parameters."""
 
 import functools
+import hashlib
 import json
 import random
 import time
@@ -281,7 +282,7 @@ class TestMaskInvariant:
     """After a drain, the engine's bitmasks describe exactly the derived
     vertices: each component's row and column masks hold the box lifts of
     its derived Euclidean vertices, a row is a gap while it is not full,
-    and the tube masks hold the derived heights."""
+    and the per-family height lists hold the derived heights."""
 
     def test_masks_rebuilt_from_lifts(self):
         for P, S, w in _random_seed_windows():
@@ -292,7 +293,8 @@ class TestMaskInvariant:
             width, height = w.x_hi - w.x_lo + 1, w.y_hi - w.y_lo + 1
             rows = ([0] * height, [0] * height)
             cols = ([0] * width, [0] * width)
-            tubes, diags = {}, {}
+            tubes, diags = ({f: ([0] * P.rank(f), [0] * P.rank(f))
+                             for f in "PU"} for _ in range(2))
             for key in run.have:
                 if len(key) == 3:
                     for x, y in w.lifts(Euclid(*key)):
@@ -300,15 +302,37 @@ class TestMaskInvariant:
                         cols[key[0]][x - w.x_lo] |= 1 << (y - w.y_lo)
                     continue
                 f, l, j, h = key
-                tubes[f, l, j] = tubes.get((f, l, j), 0) | 1 << h
-                d = (f, l, (j + h) % P.rank(f))
-                diags[d] = diags.get(d, 0) | 1 << h
+                tubes[f][l][j] |= 1 << h
+                diags[f][l][(j + h) % P.rank(f)] |= 1 << (w.tube_ht_cap - h)
             assert (run.rows, run.cols) == (rows, cols), (P, S, w)
             for comp in (0, 1):
                 assert run.gaps[comp] == sum(
                     1 << j for j, row in enumerate(rows[comp])
                     if row != (1 << width) - 1), (P, S, w)
             assert (run.tubes, run.diags) == (tubes, diags), (P, S, w)
+
+    @pytest.mark.parametrize("box,mid,omega_c,a", [
+        ((0, 8, 0, 1), Euclid(1, 3, 0), Euclid(0, 3, -1), Tube("P", 1, 1, 0)),
+        ((0, 1, 0, 8), Euclid(1, 0, 3), Euclid(0, -1, 3), Tube("U", 1, 1, 0)),
+    ], ids=["row-0", "column-0"])
+    def test_omega_line_outside_the_box(self, box, mid, omega_c, a):
+        """The rot-left tube-chain join with a comp-1 mid on row 0 (column
+        0): Omega of the chain's c lies one line outside the box, so the
+        engine looks it up by key.  The mid, with one lift in the box, is
+        derived after Omega c has been popped, so that join is the one
+        that derives the tube a."""
+        P = Params(2, 2)
+        w = Window(P, *box, 2)
+        assert len(w.lifts(mid)) == 1
+        run = _Fixpoint(P, w)
+        for v in (omega_c, mid):
+            run.add(model.key(canonical(v, P)))
+            run.drain()
+        in_f = frozenset(run.have.values())
+        assert a in in_f
+        assert in_f == naive_closure([omega_c, mid], P, w)
+        assert replay_trace([omega_c, mid], run.trace, P) == in_f
+        assert_matches_reference([omega_c, mid], P, w)
 
 
 def _premise_slots(t, P):
@@ -362,9 +386,10 @@ class TestEveryPremiseTriggers:
 
 
 class TestSweepBeyondAcceptance:
-    """Every maximal (3,4) system through E(0,1,0) certifies and replays to
-    its `derived`, and so does the flagship at four periods.  The pins were
-    recorded from the engine before the bitmask joins."""
+    """Every maximal (3,4) and (4,4) system through E(0,1,0) certifies and
+    replays to its `derived`, and so does the flagship at four periods.
+    The (3,4) and flagship pins were recorded from the engine before the
+    bitmask joins."""
 
     BUDGET_S = 15  # about 2 s on a 2-core VM; the set-based joins took 20 s
 
@@ -385,6 +410,22 @@ class TestSweepBeyondAcceptance:
         assert len(replay_trace(FLAGSHIP, doc["trace"], P33)) == 756
         assert (doc["derived"], len(doc["trace"])) == (756, 750)
         assert time.perf_counter() - start < self.BUDGET_S
+
+    def test_four_four_systems(self):
+        # pins recorded before the height masks became per-family lists;
+        # about 4 s on a 2-core VM, 7 s with the dict-keyed masks
+        start = time.perf_counter()
+        P = Params(4, 4)
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        assert len(systems) == 429
+        total = 0
+        for s in systems:
+            doc = certify_sms(s, P)
+            assert doc["certified"], s
+            assert len(replay_trace(s, doc["trace"], P)) == doc["derived"], s
+            total += doc["derived"]
+        assert total == 155576
+        assert time.perf_counter() - start < 30
 
 
 class TestEquivariance:
@@ -470,6 +511,42 @@ class TestTrace:
             produced = getattr(tri, produced)
         with pytest.raises(DomainError, match="not a conclusion of " + rule):
             replay_trace(seeds, trace[:n] + ((rule, tri, produced),), P33)
+
+    # sha256 of the joined `trace_json_lines` of each case, recorded before
+    # the joins read their premises off the bitmasks; like CERTIFIED_DERIVED
+    # they are never re-recorded to absorb a change
+    DIGESTS = {
+        Params(2, 2): "ad866e4b93d9a1ba46a5fcf060ba847b"
+                      "da59987294a17508bb80609dec337711",
+        Params(2, 3): "4e57dceb5a7ebc5dfc3ddde5b1216fa7"
+                      "9f3c54eac7ea4208b119f756dcbb2424",
+        Params(3, 3): "9d4950354b13f53f0f3a8b13c82a5361"
+                      "1fedd25c69285ed84b88b536cc14a238",
+        Params(3, 4): "29ee9647c3a636e3431d7cb392b62b05"
+                      "cbc008d325a2c68906dd7ba2853931c6",
+        "flagship-window-2": "98d171403921c78ef87df1da08ef1ebb"
+                             "a12e400bd1bc9783da32c234cb4087fc",
+        "tube-only": "aa288719e0426d7c2e95100d48721cb5"
+                     "155041b658847e71893cc2808c8c7b6d",
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS), ids=str)
+    def test_trace_bytes_pinned(self, case):
+        """Every maximal system through E(0,1,0) at (p,q), in enumeration
+        order; the flagship at two periods; the tube-only seed of
+        TestAgainstCatalog."""
+        if isinstance(case, Params):
+            traces = [certify_sms(s, case)["trace"] for s in
+                      maximal_systems_containing([Euclid(0, 1, 0)], case)]
+        elif case == "tube-only":
+            seed = [Tube("U", 0, 0, 1), Tube("U", 1, 1, 0),
+                    Tube("P", 0, 0, 0), Tube("P", 1, 1, 1)]
+            traces = [closure(seed, Params(2, 3)).trace]
+        else:
+            w = default_window(FLAGSHIP, P33, 2)
+            traces = [certify_sms(FLAGSHIP, P33, w)["trace"]]
+        text = "\n".join(line for t in traces for line in trace_json_lines(t))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
 
     def test_json_lines_shape(self, flagship_state):
         lines = list(trace_json_lines(flagship_state.trace))
