@@ -5,6 +5,10 @@ Input documents are JSON: vertices carry multiplicities, edges carry two
 endpoint ids, and every vertex lists its incident half-edges in clockwise
 order.  A half-edge is (edge id, slot) where slot 0/1 picks one of the two
 ends, so loops occupy two positions of the same rotation.
+
+The rotations make the graph a ribbon graph.  A connected unicyclic one is
+planar with two faces, the two sides of its cycle, and `classify` reads
+(p, q) off the tree edges that each face holds.
 """
 
 from __future__ import annotations
@@ -192,91 +196,26 @@ def parse_graph(doc) -> BrauerGraph:
     return BrauerGraph(tuple(order), mult, edges, rotation)
 
 
-def _prune_to_cycle(g: BrauerGraph
-                    ) -> tuple[set[str], list[str], dict[str, int]]:
-    """Strip valency-one vertices repeatedly; for a unicyclic graph the
-    leftover edges are the cycle.  Returns (cycle edge ids, cycle vertices,
-    hanging sizes), where the size of a pruned edge counts the edges of the
-    tree that hangs through it, itself included."""
-    deg = {v: g.valency(v) for v in g.vertices}
-    below = dict.fromkeys(g.vertices, 0)  # edges already pruned into v
-    sizes: dict[str, int] = {}
-    alive = set(g.edges)
-    leaves = [v for v, d in deg.items() if d == 1]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] != 1:
-            continue
-        e = next(h[0] for h in g.rotation[v] if h[0] in alive)
-        alive.discard(e)
-        sizes[e] = 1 + below[v]
-        deg[v] = 0
-        a, b = g.edges[e]
-        u = a if b == v else b
-        below[u] += sizes[e]
-        deg[u] -= 1
-        if deg[u] == 1:
-            leaves.append(u)
-    verts = [v for v in g.vertices if deg[v] > 0]
-    return alive, verts, sizes
-
-
-def _cycle_walk(g: BrauerGraph, cyc_edges: set[str],
-                cyc_verts: list[str]) -> list[tuple[str, str]]:
-    """Ordered traversal [(vertex, outgoing edge), ...] once around."""
-    start = min(cyc_verts)
-    if len(cyc_edges) == 1:
-        return [(start, next(iter(cyc_edges)))]
-    first = min(e for e in cyc_edges
-                if start in g.edges[e])
-    walk = [(start, first)]
-    prev_edge = first
-    a, b = g.edges[first]
-    here = b if a == start else a
-    while here != start:
-        nxt = next(e for e in cyc_edges
-                   if e != prev_edge and here in g.edges[e])
-        walk.append((here, nxt))
-        a, b = g.edges[nxt]
-        here = b if a == here else a
-        prev_edge = nxt
-    return walk
-
-
-def _halfedge_at(g: BrauerGraph, e: str, v: str, avoid: HalfEdge | None = None
-                 ) -> HalfEdge:
-    for slot in (0, 1):
-        if g.edges[e][slot] == v and (e, slot) != avoid:
-            return (e, slot)
-    raise AssertionError("edge %r is not incident to %r" % (e, v))
-
-
-def _side_counts(g: BrauerGraph, sizes: dict[str, int],
-                 walk: list[tuple[str, str]]) -> int:
-    """Count tree edges hanging on side 1 of the oriented cycle: at each
-    cycle vertex the trees through the half-edges strictly between the
-    outgoing and the incoming cycle half-edge in clockwise order."""
-    ell = len(walk)
-    n1 = 0
-    for i, (v, e_out) in enumerate(walk):
-        e_in = walk[(i - 1) % ell][1]
-        if ell == 1:
-            h_out, h_in = (e_out, 0), (e_out, 1)
-        else:
-            h_out = _halfedge_at(g, e_out, v)
-            h_in = _halfedge_at(g, e_in, v,
-                                avoid=h_out if e_in == e_out else None)
-        rot = g.rotation[v]
-        k = rot.index(h_out)
-        pos = (k + 1) % len(rot)
-        while rot[pos] != h_in:
-            h = rot[pos]
-            n1 += sizes[h[0]]
-            pos = (pos + 1) % len(rot)
-    return n1
+def _faces(g: BrauerGraph) -> dict[HalfEdge, int]:
+    """Face label of every half-edge.  The faces are the orbits of h -> the
+    clockwise successor of the other end of h's edge; a face is labelled by
+    the number of half-edges labelled before it, so the first one is 0."""
+    succ = {h: rot[(k + 1) % len(rot)]
+            for rot in g.rotation.values() for k, h in enumerate(rot)}
+    face: dict[HalfEdge, int] = {}
+    for start in succ:
+        h, label = start, len(face)
+        while h not in face:
+            face[h] = label
+            h = succ[(h[0], 1 - h[1])]
+    return face
 
 
 def classify(g: BrauerGraph) -> DomesticClass:
+    """Domestic type of g.  A connected unicyclic ribbon graph has V = E, so
+    Euler's formula leaves it two faces, the two sides of its cycle: a cycle
+    edge has a different face on each side, and a tree edge has the same
+    face on both, the side its tree hangs on."""
     n = g.edge_count
     betti = n - len(g.vertices) + 1
     if betti == 0:
@@ -287,10 +226,10 @@ def classify(g: BrauerGraph) -> DomesticClass:
         return DomesticClass("OutOfScope", n)
     if betti != 1 or any(g.multiplicity[v] != 1 for v in g.vertices):
         return DomesticClass("OutOfScope", n)
-    cyc_edges, cyc_verts, sizes = _prune_to_cycle(g)
-    walk = _cycle_walk(g, cyc_edges, cyc_verts)
-    ell = len(walk)
-    n1 = _side_counts(g, sizes, walk)
+    face = _faces(g)
+    tree = [face[(e, 0)] for e in g.edges if face[(e, 0)] == face[(e, 1)]]
+    ell = n - len(tree)
+    n1 = tree.count(0)
     n2 = n - ell - n1
     if ell % 2 == 0:
         p, q = ell // 2 + n1, ell // 2 + n2

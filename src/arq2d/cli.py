@@ -30,7 +30,9 @@ from .model import (
 # render prints about 4 MB (the work grows like the square of the window)
 MAX_WINDOW = 16
 # the largest --p and --q: certify-sms takes about 2 s and 0.5 GB at p = q =
-# 100, and 8 s and 2.4 GB at 150 (its orthogonality table grows like (pq)^2)
+# 100, and 8 s and 2.4 GB at 150 (its orthogonality table grows like (pq)^2).
+# render and biperp walk a box of 2Np x 2Nq points at --window N, so N*N*p*q
+# is held to MAX_PQ**2: no box is larger than the largest one at N = 1
 MAX_PQ = 100
 
 
@@ -49,6 +51,10 @@ def _periods(args) -> int:
     if args.window > MAX_WINDOW:
         raise DomainError("--window must be at most %d (got %d)"
                           % (MAX_WINDOW, args.window))
+    if args.window ** 2 * args.p * args.q > MAX_PQ ** 2:
+        raise DomainError("--window N needs N*N*p*q at most %d (got N = %d, "
+                          "p = %d, q = %d)" % (MAX_PQ ** 2, args.window,
+                                               args.p, args.q))
     return args.window
 
 

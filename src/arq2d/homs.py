@@ -480,7 +480,7 @@ class _Band:
         self.part_bits = dict.fromkeys(PART_NAMES, 0)
         for i, v in enumerate(cand):
             self.part_bits[part_of(v)] |= 1 << i
-        self.known = [1 << i for i in range(len(cand))]
+        self.known = [0] * len(cand)
         self.ortho = [0] * len(cand)
 
     def row(self, i: int, mask: int) -> int:
@@ -489,7 +489,9 @@ class _Band:
         if todo:
             known, ortho, cand, bit = self.known, self.ortho, self.cand, 1 << i
             v = cand[i]
-            known[i] |= todo
+            # diagonal marked here: marked up front, n rows cost O(n^2) memory
+            todo &= ~bit
+            known[i] |= todo | bit
             while todo:
                 low = todo & -todo
                 j = low.bit_length() - 1

@@ -34,6 +34,22 @@ def param_vertex_pair(draw, span=8, ht_max=6, pmax=5):
     return P, v, w
 
 
+def sigma_x(v):
+    """The x shift: E(c,x,y) -> E(c,x+1,y), TP(l,j,k) -> TP(l,j+1,k); fixes
+    the U tubes."""
+    if isinstance(v, Euclid):
+        return Euclid(v.comp, v.x + 1, v.y)
+    return v if v.family == "U" else Tube("P", v.level, v.idx + 1, v.ht)
+
+
+def sigma_y(v):
+    """The y shift: E(c,x,y) -> E(c,x,y+1), TU(l,j,k) -> TU(l,j+1,k); fixes
+    the P tubes."""
+    if isinstance(v, Euclid):
+        return Euclid(v.comp, v.x, v.y + 1)
+    return v if v.family == "P" else Tube("U", v.level, v.idx + 1, v.ht)
+
+
 SQUARE_DOC = {
     "vertices": [{"id": v, "multiplicity": 1} for v in "abcd"],
     "edges": [{"id": "1", "ends": ["a", "b"]},

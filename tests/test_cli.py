@@ -230,6 +230,26 @@ def test_window_above_limit_is_domain_error(capsys, command):
 
 
 @pytest.mark.parametrize("command", [
+    ["biperp", "--set", "E(0,0,0)"],
+    ["render", "e0"],
+    ["certify-sms", "--set", "E(0,0,0)"],
+], ids=lambda argv: argv[0])
+def test_window_box_above_limit_is_domain_error(capsys, command):
+    # 16 * 16 * 10 * 10 = 25,600 > 100 * 100
+    code, out, err = run(capsys, *command, "--p", "10", "--q", "10",
+                         "--window", "16")
+    assert code == 1 and out == ""
+    assert err == ("error: --window N needs N*N*p*q at most 10000 "
+                   "(got N = 16, p = 10, q = 10)\n")
+
+
+def test_window_box_at_limit_accepted(capsys):
+    code, out, _ = run(capsys, "biperp", "--p", "10", "--q", "10",
+                       "--set", "E(0,0,0)", "--window", "10")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", [
     ["supports", "--p", "3", "--q", "3", "--set", "E(0,0,0)"],
     ["enumerate-max", "--p", "3", "--q", "3", "--set", "E(0,1,0)"],
 ], ids=lambda argv: argv[0])

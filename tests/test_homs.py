@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given
 
-from conftest import param_vertex_pair
+from conftest import param_vertex_pair, sigma_x, sigma_y
 from arq2d import homs
 from arq2d.homs import (
     PART_NAMES,
@@ -124,22 +124,6 @@ class TestEquivariance:
         P, v, w = pvw
         assert stable_hom_nonzero(v, w, P) == \
             stable_hom_nonzero(canonical(v, P), canonical(w, P), P)
-
-
-def sigma_x(v):
-    """The x shift: E(c,x,y) -> E(c,x+1,y), TP(l,j,k) -> TP(l,j+1,k); fixes
-    the U tubes."""
-    if isinstance(v, Euclid):
-        return Euclid(v.comp, v.x + 1, v.y)
-    return v if v.family == "U" else Tube("P", v.level, v.idx + 1, v.ht)
-
-
-def sigma_y(v):
-    """The y shift: E(c,x,y) -> E(c,x,y+1), TU(l,j,k) -> TU(l,j+1,k); fixes
-    the P tubes."""
-    if isinstance(v, Euclid):
-        return Euclid(v.comp, v.x, v.y + 1)
-    return v if v.family == "P" else Tube("U", v.level, v.idx + 1, v.ht)
 
 
 class TestShiftSymmetry:
