@@ -43,6 +43,7 @@ from .model import (
     ceil_div,
     format_vertex,
     fundamental_domain,
+    is_brick_candidate,
     omega,
     part_of,
     vertex_sort_key,
@@ -593,6 +594,20 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
 
 def _biperp_single(X: Vertex, P: Params) -> SupportReport:
     # X is canonical, and so is omega(X)
+    if not is_brick_candidate(X, P):
+        # the formulas of _biperp_single_base need ht <= rank - 2.  A taller
+        # X covers every residue, so its supports hold every Euclidean
+        # vertex and every non-brick of its family, and miss the other
+        # family: only its family's bricks need the predicate
+        lo = X.family.lower()
+        own = [t for t in fundamental_domain(P)
+               if part_of(t)[0] == lo and _orthogonal_pair(t, X, P)]
+        parts = {name: EMPTY if name[0] == "e" else All(name)
+                 for name in PART_NAMES}
+        for name in (lo + "0", lo + "1"):
+            found = frozenset(t for t in own if part_of(t) == name)
+            parts[name] = FiniteSet(found) if found else EMPTY
+        return SupportReport(P, parts, True)
     if _is_unreduced(X):
         return _transport(_biperp_single_base(omega(X, P), P))
     return _biperp_single_base(X, P)

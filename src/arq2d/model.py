@@ -258,23 +258,15 @@ class Window(Value, namedtuple("Window", "P x_lo x_hi y_lo y_hi tube_ht_cap")):
         return v.ht <= self.tube_ht_cap
 
     def vertices(self) -> list[Vertex]:
-        seen = set()
-        out = []
-        for c in (0, 1):
-            for x in range(self.x_lo, self.x_hi + 1):
-                for y in range(self.y_lo, self.y_hi + 1):
-                    v = canonical(Euclid(c, x, y), self.P)
-                    if v not in seen:
-                        seen.add(v)
-                        out.append(v)
-        for fam in ("U", "P"):
-            r = self.P.rank(fam)
-            for level in (0, 1):
-                for j in range(r):
-                    for k in range(self.tube_ht_cap + 1):
-                        out.append(Tube(fam, level, j, k))
-        out.sort(key=vertex_sort_key)
-        return out
+        """The canonical vertices of the window, once each, in
+        vertex_sort_key order."""
+        euclid = [Euclid(c, x, y) for c in (0, 1)
+                  for x in range(self.x_lo, self.x_hi + 1)
+                  for y in range(self.y_lo, self.y_hi + 1)]
+        tubes = [Tube(fam, level, j, k) for fam in ("U", "P")
+                 for level in (0, 1) for j in range(self.P.rank(fam))
+                 for k in range(self.tube_ht_cap + 1)]
+        return canonical_set(euclid + tubes, self.P)
 
 
 _VERTEX_RE = re.compile(

@@ -44,18 +44,8 @@ class Node(Value, namedtuple("Node", "name px py text vertex label")):
     __slots__ = ()
 
 
-def _ident(*parts: int) -> str:
-    return "_".join(str(n).replace("-", "m") for n in parts)
-
-
-def _resolve_part(spec: RenderSpec):
-    if spec.part not in PART_NAMES:
-        raise UnknownPart("part must be one of %s" % (", ".join(PART_NAMES)))
-    kind = spec.part[0]
-    level = int(spec.part[1])
-    if kind == "e":
-        return ("euclid", level)
-    return ("tube", "U" if kind == "u" else "P", level)
+def _name(a: int, b: int) -> str:
+    return "n%s_%s" % (str(a).replace("-", "m"), str(b).replace("-", "m"))
 
 
 def _highlight_lookup(spec: RenderSpec) -> dict[Vertex, str]:
@@ -73,41 +63,40 @@ def _highlight_lookup(spec: RenderSpec) -> dict[Vertex, str]:
 
 
 def layout(spec: RenderSpec) -> tuple[list[Node], list[tuple[str, str]]]:
-    """Nodes and mesh arrows (as name pairs) of the windowed part."""
-    shape = _resolve_part(spec)
+    """Nodes and mesh arrows (as name pairs) of the windowed part; the
+    arrows come in the order of their source nodes."""
+    if spec.part not in PART_NAMES:
+        raise UnknownPart("part must be one of %s" % (", ".join(PART_NAMES)))
     marks = _highlight_lookup(spec)
     w = spec.window
+    level = int(spec.part[1])
     nodes: list[Node] = []
     arrows: list[tuple[str, str]] = []
-    if shape[0] == "euclid":
-        comp = shape[1]
+    if spec.part[0] == "e":
         for x in range(w.x_lo, w.x_hi + 1):
             for y in range(w.y_lo, w.y_hi + 1):
-                cv = canonical(Euclid(comp, x, y), spec.P)
-                nodes.append(Node("n%s" % _ident(x, y), x - y / 2.0, float(y),
+                name = _name(x, y)
+                cv = canonical(Euclid(level, x, y), spec.P)
+                nodes.append(Node(name, x - y / 2.0, float(y),
                                   "(%d,%d)" % (x, y), cv, marks.get(cv)))
-        for x in range(w.x_lo, w.x_hi + 1):
-            for y in range(w.y_lo, w.y_hi + 1):
-                if x + 1 <= w.x_hi:
-                    arrows.append(("n%s" % _ident(x, y), "n%s" % _ident(x + 1, y)))
-                if y + 1 <= w.y_hi:
-                    arrows.append(("n%s" % _ident(x, y), "n%s" % _ident(x, y + 1)))
-    else:
-        fam, level = shape[1], shape[2]
-        rank = spec.P.rank(fam)
-        cap = w.tube_ht_cap
-        for j in range(rank):
-            for k in range(cap + 1):
-                v = Tube(fam, level, j, k)
-                nodes.append(Node("n%s" % _ident(j, k), j + k / 2.0, float(k),
-                                  "(%d,%d)" % (j, k), v, marks.get(v)))
-        for j in range(rank):
-            for k in range(cap + 1):
-                if k + 1 <= cap:
-                    arrows.append(("n%s" % _ident(j, k), "n%s" % _ident(j, k + 1)))
-                if k >= 1:
-                    arrows.append(("n%s" % _ident(j, k),
-                                   "n%s" % _ident((j + 1) % rank, k - 1)))
+                if x < w.x_hi:
+                    arrows.append((name, _name(x + 1, y)))
+                if y < w.y_hi:
+                    arrows.append((name, _name(x, y + 1)))
+        return nodes, arrows
+    fam = "U" if spec.part[0] == "u" else "P"
+    rank = spec.P.rank(fam)
+    cap = w.tube_ht_cap
+    for j in range(rank):
+        for k in range(cap + 1):
+            name = _name(j, k)
+            v = Tube(fam, level, j, k)
+            nodes.append(Node(name, j + k / 2.0, float(k),
+                              "(%d,%d)" % (j, k), v, marks.get(v)))
+            if k < cap:
+                arrows.append((name, _name(j, k + 1)))
+            if k:
+                arrows.append((name, _name((j + 1) % rank, k - 1)))
     return nodes, arrows
 
 
@@ -117,13 +106,12 @@ def _palette(spec: RenderSpec) -> dict[str, str]:
 
 
 def render(spec: RenderSpec) -> str:
-    if spec.fmt == "dot":
-        return _emit_dot(spec)
-    if spec.fmt == "svg":
-        return _emit_svg(spec)
-    if spec.fmt == "tikz":
-        return _emit_tikz(spec)
-    raise DomainError("unknown render format %r" % spec.fmt)
+    emit = {"dot": _emit_dot, "svg": _emit_svg,
+            "tikz": _emit_tikz}.get(spec.fmt)
+    if emit is None:
+        raise DomainError("unknown render format %r" % spec.fmt)
+    nodes, arrows = layout(spec)
+    return emit(spec.part, nodes, arrows, _palette(spec))
 
 
 def layout_json(spec: RenderSpec) -> dict:
@@ -144,10 +132,8 @@ def layout_json(spec: RenderSpec) -> dict:
     }
 
 
-def _emit_dot(spec: RenderSpec) -> str:
-    nodes, arrows = layout(spec)
-    colors = _palette(spec)
-    lines = ["digraph part_%s {" % spec.part,
+def _emit_dot(part, nodes, arrows, colors) -> str:
+    lines = ["digraph part_%s {" % part,
              "  node [shape=circle, width=0.25, fixedsize=true, fontsize=8];"]
     for n in nodes:
         attrs = ['pos="%.2f,%.2f!"' % (n.px, n.py), 'label="%s"' % n.text]
@@ -161,22 +147,13 @@ def _emit_dot(spec: RenderSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_svg(spec: RenderSpec) -> str:
-    nodes, arrows = layout(spec)
-    colors = _palette(spec)
+def _emit_svg(part, nodes, arrows, colors) -> str:
     unit = 48.0
     r = 9.0
     xs = [n.px for n in nodes]
     ys = [n.py for n in nodes]
     x0, x1 = min(xs) - 1, max(xs) + 1
     y0, y1 = min(ys) - 1, max(ys) + 1
-
-    def sx(px):
-        return (px - x0) * unit
-
-    def sy(py):
-        return (y1 - py) * unit
-
     width = (x1 - x0) * unit
     height = (y1 - y0) * unit
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
@@ -186,7 +163,7 @@ def _emit_svg(spec: RenderSpec) -> str:
     out.append('<defs><marker id="tip" viewBox="0 0 8 8" refX="7" refY="4" '
                'markerWidth="6" markerHeight="6" orient="auto">'
                '<path d="M0,0 L8,4 L0,8 z" fill="#444"/></marker></defs>')
-    pos = {n.name: (sx(n.px), sy(n.py)) for n in nodes}
+    pos = {n.name: ((n.px - x0) * unit, (y1 - n.py) * unit) for n in nodes}
     for a, b in arrows:
         (ax, ay), (bx, by) = pos[a], pos[b]
         dx, dy = bx - ax, by - ay
@@ -211,24 +188,22 @@ def _emit_svg(spec: RenderSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_tikz(spec: RenderSpec) -> str:
-    nodes, arrows = layout(spec)
-    colors = _palette(spec)
+def _emit_tikz(part, nodes, arrows, colors) -> str:
+    # colors is in label order, so a label's index names its colour
+    lab_index = {lab: i for i, lab in enumerate(colors)}
     out = ["\\documentclass[tikz,border=4pt]{standalone}"]
-    for lab in sorted(colors):
-        out.append("\\definecolor{hl%s}{HTML}{%s}"
-                   % (_ident(sorted(colors).index(lab)), colors[lab][1:].upper()))
+    for lab, i in lab_index.items():
+        out.append("\\definecolor{hl%d}{HTML}{%s}" % (i, colors[lab][1:].upper()))
     out.append("\\begin{document}")
     out.append("\\begin{tikzpicture}[x=1.1cm, y=1.1cm,"
                " every node/.style={circle, draw, inner sep=1pt,"
                " minimum size=11pt, font=\\tiny}]")
-    lab_index = {lab: i for i, lab in enumerate(sorted(colors))}
     for n in nodes:
         style = ""
         if n.label is not None:
-            style = ", fill=hl%s!60" % _ident(lab_index[n.label])
+            style = "fill=hl%d!60" % lab_index[n.label]
         out.append("\\node[%s] (%s) at (%.2f,%.2f) {%s};"
-                   % (style.lstrip(", "), n.name, n.px, n.py,
+                   % (style, n.name, n.px, n.py,
                       "$\\scriptscriptstyle %s$" % n.text))
     for a, b in arrows:
         out.append("\\draw[->, shorten >=1pt, shorten <=1pt] (%s) -- (%s);"

@@ -73,6 +73,19 @@ class TestParsing:
         with pytest.raises(RotationMismatch):
             parse_graph(square_doc)
 
+    def test_invalid_json_text(self):
+        with pytest.raises(MalformedDocument, match="^not valid JSON: "):
+            parse_graph("{not json")
+
+    def test_rotation_halfedge_at_wrong_end(self, square_doc):
+        # edge 1 runs a -> b, but its two half-edges are listed swapped
+        square_doc["rotation"]["a"] = [{"edge": "1", "slot": 1},
+                                       {"edge": "4", "slot": 1}]
+        square_doc["rotation"]["b"] = [{"edge": "2", "slot": 0},
+                                       {"edge": "1", "slot": 0}]
+        with pytest.raises(RotationMismatch, match="sits at"):
+            parse_graph(square_doc)
+
     def test_disconnected(self):
         doc = make_doc("abcd", {"1": "ab", "2": "cd"},
                        {"a": [("1", 0)], "b": [("1", 1)],

@@ -186,6 +186,33 @@ class TestCertifySms:
         assert not trace_path.exists()
 
 
+class TestSetInput:
+    def test_json_file_matches_inline_list(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(TestCertifySms.SET.split(";")))
+        inline = run(capsys, "certify-sms", "--p", "3", "--q", "3",
+                     "--set", TestCertifySms.SET)
+        from_file = run(capsys, "certify-sms", "--p", "3", "--q", "3",
+                        "--set", str(path))
+        assert inline[0] == 0
+        assert from_file == inline
+
+    def test_invalid_json_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "biperp", "--p", "2", "--q", "2",
+                             "--set", "[bad")
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid JSON input: ")
+        assert err.count("\n") == 1
+
+    def test_json_object_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"set": ["E(0,0,0)"]}')
+        code, out, err = run(capsys, "biperp", "--p", "2", "--q", "2",
+                             "--set", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: vertex sets are JSON arrays of vertex strings\n"
+
+
 @pytest.mark.parametrize("window", ["0", "-3"])
 @pytest.mark.parametrize("command", [
     ["biperp", "--p", "1", "--q", "1", "--set", "E(0,0,0)"],
@@ -319,6 +346,18 @@ class TestRender:
         assert code == 0
         doc = json.loads(out)
         assert any(n["highlight"] == "set" for n in doc["nodes"])
+
+    @pytest.mark.parametrize("emit,colour,fill", [
+        ("dot", None, 'style=filled, fillcolor="#d62728"'),
+        ("tikz", "\\definecolor{hl0}{HTML}{D62728}", "[fill=hl0!60]"),
+    ])
+    def test_highlight_fills(self, capsys, emit, colour, fill):
+        code, out, _ = run(capsys, "render", "u0", "--p", "3", "--q", "3",
+                           "--set", "TU(0,1,0);TU(0,2,1)", "--emit", emit)
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(fill in l for l in lines) == 2
+        assert colour is None or lines.count(colour) == 1
 
     def test_unknown_part_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -640,6 +640,19 @@ class TestParameterExtraction:
                       if isinstance(v, Euclid) and v.comp == 1}
             assert predicted == actual
 
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 5),
+                                     (3, 3), (3, 4), (4, 4)])
+    def test_predicted_comp1_is_gap_corner(self, p, q):
+        """An observed pattern, not a theorem of the paper: the predicted
+        comp-1 member of gap r is E(1, t_r, s_r).  It also holds on all
+        12,440 gaps of the systems through E(0,1,0) up to (5,5)."""
+        P = Params(p, q)
+        for s in maximal_systems_containing([Euclid(0, 1, 0)], P):
+            out = extract_params(s, P)
+            corners = [canonical(Euclid(1, t, s_), P)
+                       for t, s_ in zip(out["tList"], out["sList"])]
+            assert out["predictedComp1"] == corners, s
+
     def test_punctured_system_not_maximal(self):
         punctured = [v for v in FLAGSHIP if v != Euclid(0, 0, 1)]
         with pytest.raises(NotMaximal):

@@ -294,6 +294,41 @@ def _random_biperp_sets(rng, P):
             and any(isinstance(v, Euclid) for v in S)]
 
 
+class TestTubeOnlyBiperp:
+    """A set without a Euclidean member intersects its members' reports.
+    A member above the brick cap (ht > rank - 2) meets every Euclidean
+    vertex, so its report lists its own family's bricks."""
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 3), (4, 3)])
+    def test_window_equals_brute(self, p, q):
+        P = Params(p, q)
+        window = WindowSpec.periods(P, 2)
+        probes = window.vertices()
+        rng = random.Random(20 * p + q)
+
+        def tube():
+            f = rng.choice("UP")
+            r = P.rank(f)
+            return Tube(f, rng.randrange(2), rng.randrange(-r, 2 * r),
+                        rng.randrange(r + 1))
+
+        sets = [[], [Tube("U", 0, 1, 0)], [Tube("U", 0, 0, q - 1)],
+                [Tube("P", 1, 1, p)], [Tube("U", 1, 0, q), Tube("P", 0, 2, 0)]]
+        sets += [[tube() for _ in range(rng.randint(1, 3))] for _ in range(40)]
+        for S in sets:
+            rep = biperp(S, P)
+            got = [v for v in probes if rep.contains(v)]
+            assert got == brute_biperp(S, window), S
+
+    def test_non_brick_member_excludes_its_hom_targets(self):
+        P = Params(4, 3)
+        X, Y = Tube("P", 1, 3, 4), Tube("P", 0, 0, 2)
+        assert stable_hom_nonzero(X, Y, P)
+        rep = biperp([X], P)
+        assert not rep.contains(Y)
+        assert rep.to_json()["parts"]["e0"] == {"kind": "empty"}
+
+
 class TestSingleBrickBiperpShape:
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_euclid_slice_counts(self, p, q):

@@ -227,6 +227,14 @@ class TestMaximalExtension:
             assert seed in s
             assert is_orthogonal_system(s, P)
 
+    def test_maximal_seed_is_its_own_extension(self):
+        # the (3,3) flagship leaves no witness, so the pool is empty
+        P = Params(3, 3)
+        S = canonical_set([Euclid(0, 1, 0), Euclid(0, -1, 2), Euclid(0, 0, 1),
+                           Euclid(1, -1, 3), Euclid(1, 0, 2), Euclid(1, 1, 1)],
+                          P)
+        assert maximal_systems_containing(S, P) == [S]
+
     def test_requires_euclidean_member(self):
         P = Params(2, 2)
         with pytest.raises(NoEuclideanMember):
