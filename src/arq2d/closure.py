@@ -228,7 +228,8 @@ class _Fixpoint:
     one over, which holds an Omega-shifted box cell unless it leaves the
     box.  The walks along a diagonal need no test.  Triangle objects are
     built only when a rule produces a vertex, and their slots reuse the
-    derived vertices.
+    derived vertices.  `left` counts the window vertices not yet derived:
+    every target a join names is one, so `drain` stops when it reaches 0.
     """
 
     def __init__(self, P: Params, window: Window):
@@ -246,6 +247,10 @@ class _Fixpoint:
         self.offsets: dict = {}
         self.trace: list = []
         self.queue: deque = deque()
+        # a shift class has one lift whose next lift (x - p, y + q) leaves
+        # the box; each tube family has rank * (cap + 1) vertices per level
+        self.left = 2 * (width * height - max(width - P.p, 0) * max(
+            height - P.q, 0) + (P.p + P.q) * (window.tube_ht_cap + 1))
         # family, unit step along its axis, rank, cells on its lines
         self.axes = (("P", 1, 0, P.p, width), ("U", 0, 1, P.q, height))
 
@@ -262,6 +267,7 @@ class _Fixpoint:
 
     def add(self, key) -> Vertex:
         v = self.have[key] = vertex(key)
+        self.left -= 1
         if len(key) == 3:
             rows, cols = self.rows[key[0]], self.cols[key[0]]
             for i, j in self.lifts(key):
@@ -278,8 +284,9 @@ class _Fixpoint:
         return v
 
     def drain(self) -> None:
-        """Pop the queue until no rule derives a new vertex."""
-        while self.queue:
+        """Pop the queue until no rule derives a new vertex or every window
+        vertex is derived."""
+        while self.queue and self.left:
             key = self.queue.popleft()
             (self.pop_euclid if len(key) == 3 else self.pop_tube)(*key)
 
@@ -290,14 +297,12 @@ class _Fixpoint:
         return vertex(k) if v is None else v
 
     def derive(self, rule, tri, target) -> None:
-        # every Euclidean target is a box cell: its bit says if it is derived
-        if len(target) == 3:
-            c, x, y = target
-            if self.rows[c][y - self.y0] >> (x - self.x0) & 1:
-                return
-        elif canonical_key(target, self.P) in self.have:
+        # a Euclidean target is a cell that its join's walk found missing,
+        # and no other lift of its class lies on that walk's line
+        target = canonical_key(target, self.P)
+        if len(target) == 4 and target in self.have:
             return
-        produced = self.add(canonical_key(target, self.P))
+        produced = self.add(target)
         family, a, mids, c = tri
         slot = self.slot
         t = DistinguishedTriangle(slot(a), tuple(slot(m) for m in mids),
@@ -347,8 +352,6 @@ class _Fixpoint:
                 missing ^= (low := missing & -missing)
                 S = low.bit_length() - 1
                 L = cross[S]
-                if L >> t & 1:  # filled since the walk began
-                    continue
                 h, name = L & ext, "ext"
                 if not h:
                     h, name = L & rot, rule
@@ -521,7 +524,8 @@ def extract_params(S, P: Params) -> dict:
     index t and rank-q gap index s are the unique values whose partner
     quasi-simple wings avoid S; the comp-1 member of the gap is the unique
     bi-perpendicular point of S-without-comp-1 inside the gap rectangle,
-    read off that set's comp-1 witness pool.  All three are reported in absolute window coordinates.
+    read off that set's comp-1 witness pool.  All three are reported in
+    absolute window coordinates.
     """
     vs = canonical_set(S, P)
     if not any(isinstance(v, Euclid) for v in vs):

@@ -45,6 +45,7 @@ from .model import (
     fundamental_domain,
     is_brick_candidate,
     omega,
+    omega_inv,
     part_of,
     vertex_sort_key,
 )
@@ -372,13 +373,15 @@ def omega_inv_region(r, P: Params):
     (+1,+1), comp 1 -> comp 0 is the identity; tube level 0 -> 1 shifts the
     index by +1, level 1 -> 0 is the identity.  A coordinate region shifts
     every field named in its _moving; heights such as TriangleArea.apex_ht
-    do not move."""
+    do not move.  A finite set maps vertex by vertex, to canonical forms."""
     if isinstance(r, Empty):
         return r
     if isinstance(r, All):
         return All(PART_SWAP[r.part])
-    if isinstance(r, Union):
-        return Union(tuple(omega_inv_region(m, P) for m in r.members))
+    if isinstance(r, (Union, Intersection)):
+        return type(r)(tuple(omega_inv_region(m, P) for m in r.members))
+    if isinstance(r, FiniteSet):
+        return FiniteSet(frozenset(omega_inv(v, P) for v in r.vertices))
     moving = getattr(type(r), "_moving", None)
     if moving is None:
         raise TypeError("unknown region %r" % (r,))

@@ -60,6 +60,20 @@ def flagship_cert():
     return certify_sms(FLAGSHIP, P33)
 
 
+@pytest.fixture
+def add_once(monkeypatch):
+    """Wrap `_Fixpoint.add` so that adding a key twice fails the test: every
+    join names only targets it found missing, so `derive` needs no check
+    of a Euclidean target's bit."""
+    add = _Fixpoint.add
+
+    def once(run, key):
+        assert key not in run.have, key
+        return add(run, key)
+
+    monkeypatch.setattr(_Fixpoint, "add", once)
+
+
 class TestWindow:
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
@@ -279,11 +293,59 @@ def _random_seed_windows(n=150, seed=2026):
                            max(u.y for u in pts) + pad[3], cap)
 
 
+def _window_grid():
+    """Boxes of every size up to (2p+1) x (2q+1) at p, q <= 4, so narrower
+    than p and shorter than q among them, at two offsets and two tube
+    height caps: 2,304 windows."""
+    for p in range(1, 5):
+        for q in range(1, 5):
+            P = Params(p, q)
+            for width in range(1, 2 * p + 2):
+                for height in range(1, 2 * q + 2):
+                    for x, y in ((-2, 1), (1, -3)):
+                        for cap in (0, 2):
+                            yield Window(P, x, x + width - 1, y,
+                                         y + height - 1, cap)
+
+
+class TestStop:
+    """`drain` stops once `left`, the window vertices not yet derived,
+    reaches 0.  Every target a join names is a window vertex, so no later
+    pop could derive anything."""
+
+    def test_starting_left_counts_window_vertices(self):
+        for w in _window_grid():
+            assert _Fixpoint(w.P, w).left == len(w.vertices()), w
+
+    def test_lifts_share_no_line(self):
+        """Why a join never names a derived Euclidean target: it walks the
+        cells of one line that were missing when the walk began, and each
+        vertex it derives has no other lift on that line."""
+        for w in _window_grid():
+            for v in w.vertices():
+                if isinstance(v, Euclid):
+                    lifts = w.lifts(v)
+                    assert len({x for x, _ in lifts}) == len(lifts), (w, v)
+                    assert len({y for _, y in lifts}) == len(lifts), (w, v)
+
+    def test_each_key_added_once(self, add_once):
+        """Every maximal system through E(0,1,0) at (2,2), (2,3) and (3,3)
+        and each punctured variant, and the random seed windows.  The
+        (3,4) and (4,4) sweeps below run under the same wrapper."""
+        for P in (Params(2, 2), Params(2, 3), P33):
+            for s in maximal_systems_containing([Euclid(0, 1, 0)], P):
+                for S in [s] + [s[:i] + s[i + 1:] for i in range(len(s))]:
+                    closure(S, P)
+        for P, S, w in _random_seed_windows():
+            closure(S, P, w)
+
+
 class TestMaskInvariant:
     """After a drain, the engine's bitmasks describe exactly the derived
     vertices: each component's row and column masks hold the box lifts of
     its derived Euclidean vertices, a row is a gap while it is not full,
-    and the per-family height lists hold the derived heights."""
+    the per-family height lists hold the derived heights, and `left`
+    counts the window vertices not derived."""
 
     def test_masks_rebuilt_from_lifts(self):
         for P, S, w in _random_seed_windows():
@@ -291,6 +353,7 @@ class TestMaskInvariant:
             for v in canonical_set(S, P):
                 run.add(model.key(v))
             run.drain()
+            assert run.left == len(w.vertices()) - len(run.have), (P, S, w)
             width, height = w.x_hi - w.x_lo + 1, w.y_hi - w.y_lo + 1
             rows = ([0] * height, [0] * height)
             cols = ([0] * width, [0] * width)
@@ -329,6 +392,7 @@ class TestMaskInvariant:
         for v in (omega_c, mid):
             run.add(model.key(canonical(v, P)))
             run.drain()
+            assert run.left == len(w.vertices()) - len(run.have)
         in_f = frozenset(run.have.values())
         assert a in in_f
         assert in_f == naive_closure([omega_c, mid], P, w)
@@ -386,15 +450,24 @@ class TestEveryPremiseTriggers:
         assert time.perf_counter() - start < self.BUDGET_S
 
 
+def _fills_window(doc):
+    return doc["derived"] == len(doc["window"].vertices())
+
+
 class TestSweepBeyondAcceptance:
     """Every maximal (3,4) and (4,4) system through E(0,1,0) certifies and
     replays to its `derived`, and so does the flagship at four periods.
     The (3,4) and flagship pins were recorded from the engine before the
-    bitmask joins."""
+    bitmask joins.
 
-    BUDGET_S = 15  # about 2 s on a 2-core VM; the set-based joins took 20 s
+    An observation, not a claim of the paper: each of these maximal
+    systems derives every vertex of its default window, so its closure
+    ends at the stop, and no punctured variant does (every variant at
+    (3,4), one per system at (4,4)).  No key is added twice."""
 
-    def test_three_four_systems_and_flagship_four_periods(self):
+    BUDGET_S = 15  # about 6 s on a 2-core VM; the set-based joins took 20 s
+
+    def test_three_four_systems_and_flagship_four_periods(self, add_once):
         start = time.perf_counter()
         P = Params(3, 4)
         systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
@@ -404,7 +477,10 @@ class TestSweepBeyondAcceptance:
             doc = certify_sms(s, P)
             assert doc["certified"], s
             assert len(replay_trace(s, doc["trace"], P)) == doc["derived"], s
+            assert _fills_window(doc), s
             total += doc["derived"]
+            for i in range(len(s)):
+                assert not _fills_window(certify_sms(s[:i] + s[i + 1:], P))
         assert total == 37968
         doc = certify_sms(FLAGSHIP, P33, default_window(FLAGSHIP, P33, 4))
         assert doc["certified"]
@@ -412,19 +488,22 @@ class TestSweepBeyondAcceptance:
         assert (doc["derived"], len(doc["trace"])) == (756, 750)
         assert time.perf_counter() - start < self.BUDGET_S
 
-    def test_four_four_systems(self):
+    def test_four_four_systems(self, add_once):
         # pins recorded before the height masks became per-family lists;
-        # about 4 s on a 2-core VM, 7 s with the dict-keyed masks
+        # about 8 s on a 2-core VM, half of it the punctured variants
         start = time.perf_counter()
         P = Params(4, 4)
         systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
         assert len(systems) == 429
         total = 0
-        for s in systems:
+        for n, s in enumerate(systems):
             doc = certify_sms(s, P)
             assert doc["certified"], s
             assert len(replay_trace(s, doc["trace"], P)) == doc["derived"], s
+            assert _fills_window(doc), s
             total += doc["derived"]
+            i = n % len(s)
+            assert not _fills_window(certify_sms(s[:i] + s[i + 1:], P)), s
         assert total == 155576
         assert time.perf_counter() - start < 30
 

@@ -11,6 +11,7 @@ from arq2d import homs
 from arq2d.homs import (
     PART_NAMES,
     FiniteSet,
+    Intersection,
     biperp,
     lsupp,
     omega_inv_region,
@@ -26,6 +27,7 @@ from arq2d.model import (
     canonical,
     fundamental_domain,
     omega,
+    omega_inv,
     tau,
     vertex_sort_key,
 )
@@ -294,6 +296,55 @@ def _random_biperp_sets(rng, P):
             and any(isinstance(v, Euclid) for v in S)]
 
 
+def _random_tube_sets(rng, P, n):
+    """n sets of 1-3 tube vertices, raw indices, heights up to the rank."""
+
+    def tube():
+        f = rng.choice("UP")
+        r = P.rank(f)
+        return Tube(f, rng.randrange(2), rng.randrange(-r, 2 * r),
+                    rng.randrange(r + 1))
+
+    return [[tube() for _ in range(rng.randint(1, 3))] for _ in range(n)]
+
+
+class TestOmegaInvRegion:
+    """omega_inv_region maps every region kind that biperp returns: a
+    FiniteSet vertex by vertex and an Intersection member by member, so
+    the image holds omega_inv(v) exactly when the region holds v."""
+
+    @staticmethod
+    def assert_image(r, P, probes):
+        image = omega_inv_region(r, P)
+        for v in probes:
+            assert image.contains(omega_inv(v, P), P) == r.contains(v, P), \
+                (r, v)
+
+    @pytest.mark.parametrize("S,part,kind", [
+        ([Euclid(0, 0, 0), Tube("U", 1, 1, 0)], "e0", FiniteSet),
+        ([Tube("U", 0, 0, 0), Tube("P", 0, 0, 0)], "u0", Intersection),
+    ], ids=["finite-set", "intersection"])
+    def test_reproducers(self, S, part, kind):
+        # both raised TypeError("unknown region ...")
+        P = Params(3, 3)
+        r = biperp(S, P).parts[part]
+        assert type(r) is kind
+        self.assert_image(r, P, WindowSpec.periods(P, 2).vertices())
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 3), (4, 3)])
+    def test_random_biperp_parts(self, p, q):
+        P = Params(p, q)
+        probes = WindowSpec.periods(P, 2).vertices()
+        rng = random.Random(30 * p + q)
+        sets = _random_biperp_sets(rng, P) + _random_tube_sets(rng, P, 20)
+        kinds = set()
+        for S in sets:
+            for r in biperp(S, P).parts.values():
+                kinds.add(type(r))
+                self.assert_image(r, P, probes)
+        assert {FiniteSet, Intersection} <= kinds
+
+
 class TestTubeOnlyBiperp:
     """A set without a Euclidean member intersects its members' reports.
     A member above the brick cap (ht > rank - 2) meets every Euclidean
@@ -305,16 +356,9 @@ class TestTubeOnlyBiperp:
         window = WindowSpec.periods(P, 2)
         probes = window.vertices()
         rng = random.Random(20 * p + q)
-
-        def tube():
-            f = rng.choice("UP")
-            r = P.rank(f)
-            return Tube(f, rng.randrange(2), rng.randrange(-r, 2 * r),
-                        rng.randrange(r + 1))
-
         sets = [[], [Tube("U", 0, 1, 0)], [Tube("U", 0, 0, q - 1)],
                 [Tube("P", 1, 1, p)], [Tube("U", 1, 0, q), Tube("P", 0, 2, 0)]]
-        sets += [[tube() for _ in range(rng.randint(1, 3))] for _ in range(40)]
+        sets += _random_tube_sets(rng, P, 40)
         for S in sets:
             rep = biperp(S, P)
             got = [v for v in probes if rep.contains(v)]
