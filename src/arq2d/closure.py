@@ -297,8 +297,8 @@ class _Fixpoint:
         return vertex(k) if v is None else v
 
     def derive(self, rule, tri, target) -> None:
-        # a Euclidean target is a cell that its join's walk found missing,
-        # and no other lift of its class lies on that walk's line
+        # only a tube can be derived already: a Euclidean target is a cell
+        # its join's walk found missing, and no two lifts share a line
         target = canonical_key(target, self.P)
         if len(target) == 4 and target in self.have:
             return
