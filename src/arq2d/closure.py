@@ -10,14 +10,16 @@ each join walks the cells still missing from a bitmask row or column of
 the derived lifts and tests a premise with one AND, against a line of the
 box, the line of the other component that holds an Omega-shifted premise,
 or a list of tube-height masks.  `triangle_catalog` lists the triangles and
-serves as the reference.  Every derivation is traced, and `replay_trace`
-checks each step's premises and conclusion.
+serves as the reference.  Every derivation is traced on raw keys, and a
+`Trace` decodes its steps to triangles of vertices only when they are read.
+`replay_trace` checks each step's premises and conclusion on canonical keys.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque, namedtuple
+from collections.abc import Sequence
 
 from .model import (
     DomainError,
@@ -25,7 +27,6 @@ from .model import (
     Params,
     Tube,
     Value,
-    Vertex,
     Window,
     box_shifts,
     canonical,
@@ -151,6 +152,47 @@ def triangle_catalog(P: Params, window: Window):
     return sorted(tris.values(), key=DistinguishedTriangle.sort_key)
 
 
+class Trace(Sequence):
+    """The derivation steps of one closure run, kept as the engine records
+    them: (rule, (family, a, mids, c), produced), with raw slot keys and the
+    canonical key of the produced vertex.  Indexing and iteration decode a
+    step to (rule, DistinguishedTriangle, produced) of canonical vertices; a
+    slice is a tuple of decoded steps, and a trace equals a tuple (or a
+    trace) with the same decoded steps."""
+
+    __slots__ = ("steps", "P")
+
+    def __init__(self, steps, P: Params):
+        self.steps, self.P = steps, P
+
+    def _decode(self, step):
+        rule, (family, a, mids, c), produced = step
+        P = self.P
+        return (rule, DistinguishedTriangle(
+            vertex(canonical_key(a, P)),
+            tuple(vertex(canonical_key(m, P)) for m in mids),
+            vertex(canonical_key(c, P)), family), vertex(produced))
+
+    def __len__(self):
+        return len(self.steps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._decode, self.steps[i]))
+        return self._decode(self.steps[i])
+
+    def __iter__(self):
+        return map(self._decode, self.steps)
+
+    def __eq__(self, other):
+        if isinstance(other, (Trace, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 class ClosureState(Value, namedtuple("ClosureState", "in_f trace window")):
     __slots__ = ()
 
@@ -164,11 +206,12 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
     of the lifts derived so far.  Its triangles are the ones
     `triangle_catalog` lists, so it reaches the same least fixpoint.
     """
-    return _closure(canonical_set(S, P), P, window)
+    run = _closure(canonical_set(S, P), P, window)
+    return ClosureState(frozenset(map(vertex, run.have)), run.trace, run.w)
 
 
-def _closure(seeds, P: Params, window: Window | None) -> ClosureState:
-    """closure of a canonical list."""
+def _closure(seeds, P: Params, window: Window | None) -> _Fixpoint:
+    """The drained engine of a canonical list."""
     if window is None:
         window = default_window(seeds, P)
     for v in seeds:
@@ -180,8 +223,7 @@ def _closure(seeds, P: Params, window: Window | None) -> ClosureState:
     for v in seeds:
         run.add(key(v))
     run.drain()
-    return ClosureState(frozenset(run.have.values()), tuple(run.trace),
-                        window)
+    return run
 
 
 # Triangles inside the engine are raw: (family, a, mids, c), every slot a
@@ -212,9 +254,10 @@ def _mesh_t(f, l, j, k):
 
 
 class _Fixpoint:
-    """Working state of one closure run.
+    """Working state of one closure run, on raw keys: it builds no vertex
+    and no triangle.
 
-    `have` maps the canonical key of each derived vertex to the vertex.
+    `have` is the set of canonical keys of the derived vertices.
     For each component, `rows[comp][j]` is an int bitmask of the derived
     raw lifts in row j of the box (bit i for x = x_lo + i), `cols[comp][i]`
     one of column i (bit j for y = y_lo + j), and bit j of `gaps[comp]` is
@@ -226,15 +269,16 @@ class _Fixpoint:
     rule can still fill, and tests each with one AND: against a
     perpendicular line, a height mask, or the line of the other component
     one over, which holds an Omega-shifted box cell unless it leaves the
-    box.  The walks along a diagonal need no test.  Triangle objects are
-    built only when a rule produces a vertex, and their slots reuse the
-    derived vertices.  `left` counts the window vertices not yet derived:
-    every target a join names is one, so `drain` stops when it reaches 0.
+    box.  The walks along a diagonal need no test.  Each vertex a rule
+    produces appends (rule, raw triangle, canonical key) to the steps of
+    `trace`, which decodes them on access.  `left` counts the window
+    vertices not yet derived: every target a join names is one, so `drain`
+    stops when it reaches 0.
     """
 
     def __init__(self, P: Params, window: Window):
         self.P, self.w = P, window
-        self.have: dict = {}
+        self.have: set = set()
         self.x0, self.y0 = window.x_lo, window.y_lo
         width = window.x_hi - window.x_lo + 1
         height = window.y_hi - window.y_lo + 1
@@ -245,7 +289,7 @@ class _Fixpoint:
         self.tubes, self.diags = ({f: ([0] * P.rank(f), [0] * P.rank(f))
                                    for f in "PU"} for _ in range(2))
         self.offsets: dict = {}
-        self.trace: list = []
+        self.trace = Trace([], P)
         self.queue: deque = deque()
         # a shift class has one lift whose next lift (x - p, y + q) leaves
         # the box; each tube family has rank * (cap + 1) vertices per level
@@ -265,8 +309,8 @@ class _Fixpoint:
                 box_shifts(self.P, x, y, w.x_lo, w.x_hi, w.y_lo, w.y_hi)]
         return got
 
-    def add(self, key) -> Vertex:
-        v = self.have[key] = vertex(key)
+    def add(self, key) -> None:
+        self.have.add(key)
         self.left -= 1
         if len(key) == 3:
             rows, cols = self.rows[key[0]], self.cols[key[0]]
@@ -281,7 +325,6 @@ class _Fixpoint:
             self.diags[f][l][(j + h) % self.P.rank(f)] |= 1 << (
                 self.w.tube_ht_cap - h)
         self.queue.append(key)
-        return v
 
     def drain(self) -> None:
         """Pop the queue until no rule derives a new vertex or every window
@@ -290,24 +333,12 @@ class _Fixpoint:
             key = self.queue.popleft()
             (self.pop_euclid if len(key) == 3 else self.pop_tube)(*key)
 
-    def slot(self, raw) -> Vertex:
-        """The vertex of a triangle slot, the derived one when it is."""
-        k = canonical_key(raw, self.P)
-        v = self.have.get(k)
-        return vertex(k) if v is None else v
-
     def derive(self, rule, tri, target) -> None:
-        # only a tube can be derived already: a Euclidean target is a cell
-        # its join's walk found missing, and no two lifts share a line
+        # every join names a target it found missing: a Euclidean target is
+        # a cell of its walk, and no two lifts share a line
         target = canonical_key(target, self.P)
-        if len(target) == 4 and target in self.have:
-            return
-        produced = self.add(target)
-        family, a, mids, c = tri
-        slot = self.slot
-        t = DistinguishedTriangle(slot(a), tuple(slot(m) for m in mids),
-                                  slot(c), family)
-        self.trace.append((rule, t, produced))
+        self.add(target)
+        self.trace.steps.append((rule, tri, target))
 
     def fire(self, f, l, j, k) -> None:
         """Each rule of the T-mesh-T from (f, l, j, k) that can add a
@@ -316,9 +347,12 @@ class _Fixpoint:
         at_a, at_c = T[j % r], T[(j + 1) % r]
         has_a, has_c = at_a >> k & 1, at_c >> k & 1
         if has_a and has_c:
+            # the mids (j, k + 1) and (j + 1, k - 1), each while missing
             tri = _mesh_t(f, l, j, k)
-            for m in tri[2]:
-                self.derive("ext", tri, m)
+            if not at_a >> (k + 1) & 1:
+                self.derive("ext", tri, tri[2][0])
+            if k and not at_c >> (k - 1) & 1:
+                self.derive("ext", tri, tri[2][1])
         elif (at_a >> (k + 1) & 1 and (not k or at_c >> (k - 1) & 1)
               and self.tubes[f][1 - l][(j + 1 - l) % r] >> k & 1):
             tri = _mesh_t(f, l, j, k)
@@ -468,26 +502,47 @@ class _Fixpoint:
 
 def replay_trace(S, trace, P: Params) -> frozenset:
     """Re-run a trace, checking every premise and that each step produces
-    its rule's conclusion; returns the final set."""
-    cur = {canonical(v, P) for v in S}
-    for rule, tri, produced in trace:
+    its rule's conclusion; returns the final set.  A `Trace` replays from
+    its raw steps, each slot canonicalized; the slots of any other sequence
+    of steps are taken as given, so a non-canonical one is rejected."""
+    if isinstance(trace, Trace):
+        ck, TP = canonical_key, trace.P
+        steps = ((rule, ck(a, TP), tuple(ck(m, TP) for m in mids), ck(c, TP),
+                  produced) for rule, (_, a, mids, c), produced in trace.steps)
+    else:
+        steps = map(_step_keys, trace)
+    cur = {canonical_key(key(v), P) for v in S}
+    for rule, a, mids, c, produced in steps:
         if rule == "ext":
-            premises, conclusions = (tri.a, tri.c), tri.mids
+            premises, conclusions = (a, c), mids
         elif rule == "rot-right":
-            premises, conclusions = tri.mids + (omega_inv(tri.a, P),), (tri.c,)
+            premises, conclusions = mids + (omega_inv_key(a, P),), (c,)
         elif rule == "rot-left":
-            premises, conclusions = tri.mids + (omega(tri.c, P),), (tri.a,)
+            premises, conclusions = mids + (omega_key(c, P),), (a,)
         else:
             raise DomainError("unknown trace rule %r" % (rule,))
         if produced not in conclusions:
             raise DomainError("trace step produces %s, not a conclusion of %s"
-                              % (format_vertex(produced), rule))
+                              % (format_vertex(vertex(produced)), rule))
         for u in premises:
             if u not in cur:
                 raise DomainError("trace premise %s not established"
-                                  % format_vertex(u))
+                                  % format_vertex(vertex(u)))
         cur.add(produced)
-    return frozenset(cur)
+    return frozenset(map(vertex, cur))
+
+
+def _step_keys(step) -> tuple:
+    """(rule, a, mids, c, produced) of a decoded trace step, as raw keys."""
+    try:
+        rule, tri, produced = step
+        slots = (tri.a, *tri.mids, tri.c, produced)
+    except (TypeError, ValueError, AttributeError):
+        slots = None
+    if slots is None or not all(isinstance(v, (Euclid, Tube)) for v in slots):
+        raise DomainError("malformed trace step %r" % (step,))
+    return (rule, key(tri.a), tuple(map(key, tri.mids)), key(tri.c),
+            key(produced))
 
 
 def trace_json_lines(trace):
@@ -502,8 +557,9 @@ def certify_sms(S, P: Params, window: Window | None = None) -> dict:
     if not _orthogonal(vs, P):
         raise DomainError("set is not an orthogonal system of bricks")
     has_euclid = any(isinstance(v, Euclid) for v in vs)
-    state = _closure(vs, P, window)
-    targets = {format_vertex(v): (omega_inv(v, P) in state.in_f) for v in vs}
+    run = _closure(vs, P, window)
+    targets = {format_vertex(v): omega_inv_key(key(v), P) in run.have
+               for v in vs}
     certified = has_euclid and all(targets.values())
     return {
         "certified": certified,
@@ -511,9 +567,9 @@ def certify_sms(S, P: Params, window: Window | None = None) -> dict:
         "hasEuclidean": has_euclid,
         "targets": targets,
         "members": [format_vertex(v) for v in vs],
-        "derived": len(state.in_f),
-        "trace": state.trace,
-        "window": state.window,
+        "derived": len(run.have),
+        "trace": run.trace,
+        "window": run.w,
     }
 
 

@@ -217,8 +217,9 @@ def box_shifts(P: Params, x: int, y: int, x_lo: int, x_hi: int, y_lo: int,
                y_hi: int) -> range:
     """The shifts l that put (x - p*l, y + q*l) in the box
     [x_lo, x_hi] x [y_lo, y_hi]; empty when the box is."""
-    lo = max(ceil_div(x - x_hi, P.p), ceil_div(y_lo - y, P.q))
-    hi = min((x - x_lo) // P.p, (y_hi - y) // P.q)
+    p, q = P
+    lo = max(-((x_hi - x) // p), -((y - y_lo) // q))
+    hi = min((x - x_lo) // p, (y_hi - y) // q)
     return range(lo, hi + 1)
 
 

@@ -14,6 +14,7 @@ from arq2d.closure import (
     DistinguishedTriangle,
     _Fixpoint,
     NotMaximal,
+    Trace,
     WindowTooSmall,
     certify_sms,
     closure,
@@ -308,6 +309,26 @@ def _window_grid():
                                          y + height - 1, cap)
 
 
+class TestBoxShifts:
+    def test_matches_a_scan_over_shifts(self):
+        """`model.box_shifts` lists every l that puts (x - p*l, y + q*l) in
+        the box, in order, for each point within p + 1 columns and q + 1
+        rows of each box of `_window_grid()`."""
+        for w in _window_grid():
+            (p, q), box = w.P, w[1:5]
+            # each point is at most 2p + 10 from the box, so |l| <= 14
+            xs = {x: {l for l in range(-16, 17)
+                      if w.x_lo <= x - p * l <= w.x_hi}
+                  for x in range(w.x_lo - p - 1, w.x_hi + p + 2)}
+            ys = {y: {l for l in range(-16, 17)
+                      if w.y_lo <= y + q * l <= w.y_hi}
+                  for y in range(w.y_lo - q - 1, w.y_hi + q + 2)}
+            for x, at_x in xs.items():
+                for y, at_y in ys.items():
+                    assert list(model.box_shifts(w.P, x, y, *box)) == sorted(
+                        at_x & at_y), (w, x, y)
+
+
 class TestStop:
     """`drain` stops once `left`, the window vertices not yet derived,
     reaches 0.  Every target a join names is a window vertex, so no later
@@ -393,7 +414,7 @@ class TestMaskInvariant:
             run.add(model.key(canonical(v, P)))
             run.drain()
             assert run.left == len(w.vertices()) - len(run.have)
-        in_f = frozenset(run.have.values())
+        in_f = frozenset(map(model.vertex, run.have))
         assert a in in_f
         assert in_f == naive_closure([omega_c, mid], P, w)
         assert replay_trace([omega_c, mid], run.trace, P) == in_f
@@ -658,6 +679,57 @@ class TestTrace:
             traces = [certify_sms(FLAGSHIP, P33, w)["trace"]]
         text = "\n".join(line for t in traces for line in trace_json_lines(t))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("trace", [
+        [("ext", "x", "y")], [("rot-left", None, None)], [("ext",)], ["zz"],
+    ], ids=["strings", "nones", "short-step", "string-step"])
+    def test_malformed_step_rejected(self, trace):
+        with pytest.raises(DomainError, match="malformed trace step"):
+            replay_trace(FLAGSHIP, trace, P33)
+
+    def test_trace_decodes_as_a_tuple(self, flagship_state):
+        trace = flagship_state.trace
+        steps = tuple(trace)
+        assert isinstance(trace, Trace) and len(trace) == len(steps) > 7
+        assert (trace[0], trace[-1]) == (steps[0], steps[-1])
+        assert trace[3:7] == steps[3:7] and type(trace[3:7]) is tuple
+        assert trace == steps and steps == trace and hash(trace) == hash(steps)
+        assert trace != steps[:-1] and trace != list(steps)
+        for rule, tri, produced in trace:
+            assert isinstance(tri, DistinguishedTriangle)
+            assert all(v == canonical(v, P33)
+                       for v in (tri.a, *tri.mids, tri.c, produced))
+
+    def test_raw_and_decoded_replay_agree(self):
+        """Every maximal (2,3) system through E(0,1,0) and each punctured
+        variant."""
+        P = Params(2, 3)
+        for s in maximal_systems_containing([Euclid(0, 1, 0)], P):
+            for S in [s] + [s[:i] + s[i + 1:] for i in range(len(s))]:
+                trace = closure(S, P).trace
+                assert replay_trace(S, tuple(trace), P) == replay_trace(
+                    S, trace, P), S
+
+    @pytest.mark.parametrize("slot", ["produced", "premise"])
+    def test_non_canonical_lift_rejected(self, flagship_state, slot):
+        """A decoded step is taken as given: its produced vertex, or a mid
+        premise of a rot-right, moved to another lift of its class fails
+        the replay."""
+        trace = flagship_state.trace
+        n = next(i for i, step in enumerate(trace) if step[0] == "rot-right")
+        rule, tri, produced = trace[n]
+
+        def lift(v):
+            return v._replace(x=v.x - 3, y=v.y + 3)
+
+        if slot == "produced":
+            step = (rule, tri, lift(produced))
+        else:
+            mids = (lift(tri.mids[0]),) + tri.mids[1:]
+            step = (rule, tri._replace(mids=mids), produced)
+        assert replay_trace(FLAGSHIP, trace[:n] + (trace[n],), P33)
+        with pytest.raises(DomainError):
+            replay_trace(FLAGSHIP, trace[:n] + (step,), P33)
 
     def test_json_lines_shape(self, flagship_state):
         lines = list(trace_json_lines(flagship_state.trace))
