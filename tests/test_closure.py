@@ -316,7 +316,8 @@ class TestBoxShifts:
         rows of each box of `_window_grid()`."""
         for w in _window_grid():
             (p, q), box = w.P, w[1:5]
-            # each point is at most 2p + 10 from the box, so |l| <= 14
+            # a box spans at most 2p + 1 columns and 2q + 1 rows, so a
+            # shift that lands a point in it has |l| <= 4
             xs = {x: {l for l in range(-16, 17)
                       if w.x_lo <= x - p * l <= w.x_hi}
                   for x in range(w.x_lo - p - 1, w.x_hi + p + 2)}
