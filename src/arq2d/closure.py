@@ -9,14 +9,18 @@ Omega c.  It generates triangles on demand from the vertices it derives:
 each join walks the cells still missing from a bitmask row or column of
 the derived lifts and tests a premise with one AND, against a line of the
 box, the line of the other component that holds an Omega-shifted premise,
-or a list of tube-height masks.  `triangle_catalog` lists the triangles and
-serves as the reference.  Every derivation is traced on raw keys, and a
-`Trace` decodes its steps to triangles of vertices only when they are read.
-`replay_trace` checks each step's premises and conclusion on canonical keys.
+or a list of tube-height masks.  The offsets of a class's lifts in the box
+are shared by every run on a box of the same shape.  `triangle_catalog`
+lists the triangles and serves as the reference.  Every derivation is
+traced on raw keys, and a `Trace` decodes its steps to triangles of vertices
+only when they are read.  `replay_trace` checks each step's premises and
+conclusion on canonical keys, canonicalizing a raw slot only when a check
+reads it, and `trace_json_lines` formats the raw keys directly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque, namedtuple
 from collections.abc import Sequence
@@ -86,13 +90,6 @@ class DistinguishedTriangle(Value, namedtuple("DistinguishedTriangle",
                 tuple(vertex_sort_key(m) for m in self.mids),
                 vertex_sort_key(self.c))
 
-    def to_json(self) -> dict:
-        return {
-            "a": format_vertex(self.a),
-            "mids": [format_vertex(m) for m in self.mids],
-            "c": format_vertex(self.c),
-        }
-
 
 def triangle_catalog(P: Params, window: Window):
     """Every catalog triangle whose three slots all lie in the window.
@@ -158,7 +155,8 @@ class Trace(Sequence):
     canonical key of the produced vertex.  Indexing and iteration decode a
     step to (rule, DistinguishedTriangle, produced) of canonical vertices; a
     slice is a tuple of decoded steps, and a trace equals a tuple (or a
-    trace) with the same decoded steps."""
+    trace) with the same decoded steps.  `replay_trace` and
+    `trace_json_lines` read the raw steps without decoding them."""
 
     __slots__ = ("steps", "P")
 
@@ -253,6 +251,20 @@ def _mesh_t(f, l, j, k):
     return ("T-mesh-T", (f, l, j, k), mids, (f, l, j + 1, k))
 
 
+# The offsets of a class's lifts depend only on P, the box's shape and the
+# class's place relative to the box, so every run on a box of one shape
+# shares them; the _LIFT_TABLES most recently used shapes are kept.
+_LIFT_TABLES = 32
+
+
+@functools.lru_cache(maxsize=_LIFT_TABLES)
+def _lift_table(P: Params, width: int, height: int) -> dict:
+    """The lift offsets of a width x height box, filled on demand: the
+    canonical Euclidean class at (i, j) from the box's lower-left cell maps
+    to the offsets of its lifts, in `box_shifts` order."""
+    return {}
+
+
 class _Fixpoint:
     """Working state of one closure run, on raw keys: it builds no vertex
     and no triangle.
@@ -269,7 +281,9 @@ class _Fixpoint:
     rule can still fill, and tests each with one AND: against a
     perpendicular line, a height mask, or the line of the other component
     one over, which holds an Omega-shifted box cell unless it leaves the
-    box.  The walks along a diagonal need no test.  Each vertex a rule
+    box.  The walks along a diagonal need no test.  `lifts` reads a class's
+    in-box lifts off `offsets`, the table of the box's shape that every run
+    on such a box shares and fills.  Each vertex a rule
     produces appends (rule, raw triangle, canonical key) to the steps of
     `trace`, which decodes them on access.  `left` counts the window
     vertices not yet derived: every target a join names is one, so `drain`
@@ -288,7 +302,7 @@ class _Fixpoint:
         self.gaps = [(1 << height) - 1] * 2
         self.tubes, self.diags = ({f: ([0] * P.rank(f), [0] * P.rank(f))
                                    for f in "PU"} for _ in range(2))
-        self.offsets: dict = {}
+        self.offsets = _lift_table(P, width, height)
         self.trace = Trace([], P)
         self.queue: deque = deque()
         # a shift class has one lift whose next lift (x - p, y + q) leaves
@@ -300,13 +314,15 @@ class _Fixpoint:
 
     def lifts(self, key):
         """Lifts of a canonical Euclidean key, as offsets from the box's
-        lower-left cell; cached."""
-        got = self.offsets.get(key)
+        lower-left cell, read off the offsets table of the box's shape."""
+        at = (key[1] - self.x0, key[2] - self.y0)
+        got = self.offsets.get(at)
         if got is None:
-            (_, x, y), w, (p, q) = key, self.w, self.P
-            got = self.offsets[key] = [
-                (x - p * l - self.x0, y + q * l - self.y0) for l in
-                box_shifts(self.P, x, y, w.x_lo, w.x_hi, w.y_lo, w.y_hi)]
+            (i, j), (p, q) = at, self.P
+            got = self.offsets[at] = tuple(
+                (i - p * l, j + q * l) for l in box_shifts(
+                    self.P, i, j, 0, self.w.x_hi - self.x0, 0,
+                    self.w.y_hi - self.y0))
         return got
 
     def add(self, key) -> None:
@@ -503,37 +519,55 @@ class _Fixpoint:
 def replay_trace(S, trace, P: Params) -> frozenset:
     """Re-run a trace, checking every premise and that each step produces
     its rule's conclusion; returns the final set.  A `Trace` replays from
-    its raw steps, each slot canonicalized; the slots of any other sequence
-    of steps are taken as given, so a non-canonical one is rejected."""
+    its raw steps, and a slot is canonicalized only when a check reads it;
+    the slots of any other sequence of steps are taken as given, so a
+    non-canonical one is rejected."""
     if isinstance(trace, Trace):
-        ck, TP = canonical_key, trace.P
-        steps = ((rule, ck(a, TP), tuple(ck(m, TP) for m in mids), ck(c, TP),
-                  produced) for rule, (_, a, mids, c), produced in trace.steps)
+        steps, ck, TP = trace.steps, canonical_key, trace.P
     else:
-        steps = map(_step_keys, trace)
+        steps, ck, TP = map(_step_keys, trace), _as_given, P
     cur = {canonical_key(key(v), P) for v in S}
-    for rule, a, mids, c, produced in steps:
-        if rule == "ext":
-            premises, conclusions = (a, c), mids
-        elif rule == "rot-right":
-            premises, conclusions = mids + (omega_inv_key(a, P),), (c,)
-        elif rule == "rot-left":
-            premises, conclusions = mids + (omega_key(c, P),), (a,)
-        else:
-            raise DomainError("unknown trace rule %r" % (rule,))
-        if produced not in conclusions:
-            raise DomainError("trace step produces %s, not a conclusion of %s"
-                              % (format_vertex(vertex(produced)), rule))
-        for u in premises:
-            if u not in cur:
+    for step in steps:
+        try:
+            rule, (_, a, mids, c), produced = step
+            # the conclusions, the premises canonicalized by ck, and the
+            # Omega-shifted premise, which the key map makes canonical
+            if rule == "ext":
+                conclusions, premises, shifted = mids, (a, c), None
+            elif rule == "rot-right":
+                conclusions, premises, shifted = (c,), mids, omega_inv_key(
+                    a, P)
+            elif rule == "rot-left":
+                conclusions, premises, shifted = (a,), mids, omega_key(c, P)
+            else:
+                raise DomainError("unknown trace rule %r" % (rule,))
+            for u in conclusions:
+                if ck(u, TP) == produced:
+                    break
+            else:
+                raise DomainError("trace step produces %s, not a conclusion "
+                                  "of %s" % (format_vertex(produced), rule))
+            for u in premises:
+                if (u := ck(u, TP)) not in cur:
+                    break
+            else:
+                u = shifted
+            if u is not None and u not in cur:
                 raise DomainError("trace premise %s not established"
-                                  % format_vertex(vertex(u)))
+                                  % format_vertex(u))
+        except (TypeError, ValueError):
+            raise DomainError("malformed trace step %r" % (step,)) from None
         cur.add(produced)
     return frozenset(map(vertex, cur))
 
 
+def _as_given(k, P):
+    return k
+
+
 def _step_keys(step) -> tuple:
-    """(rule, a, mids, c, produced) of a decoded trace step, as raw keys."""
+    """A decoded trace step as a raw step: (rule, (family, a, mids, c),
+    produced) of raw keys."""
     try:
         rule, tri, produced = step
         slots = (tri.a, *tri.mids, tri.c, produced)
@@ -541,15 +575,25 @@ def _step_keys(step) -> tuple:
         slots = None
     if slots is None or not all(isinstance(v, (Euclid, Tube)) for v in slots):
         raise DomainError("malformed trace step %r" % (step,))
-    return (rule, key(tri.a), tuple(map(key, tri.mids)), key(tri.c),
-            key(produced))
+    return (rule, (tri.family, key(tri.a), tuple(map(key, tri.mids)),
+                   key(tri.c)), key(produced))
 
 
 def trace_json_lines(trace):
-    for rule, tri, produced in trace:
-        yield json.dumps({"rule": rule, "triangle": tri.to_json(),
-                          "produced": format_vertex(produced)},
-                         sort_keys=True)
+    """One JSON line per step, slots canonical: a `Trace` is formatted from
+    its raw keys, any other sequence from its decoded triangles."""
+    if isinstance(trace, Trace):
+        ck, P = canonical_key, trace.P
+        steps = ((rule, ck(a, P), [ck(m, P) for m in mids], ck(c, P),
+                  produced) for rule, (_, a, mids, c), produced in trace.steps)
+    else:
+        steps = ((rule, tri.a, tri.mids, tri.c, produced)
+                 for rule, tri, produced in trace)
+    for rule, a, mids, c, produced in steps:
+        yield json.dumps({"rule": rule, "triangle": {
+            "a": format_vertex(a), "mids": [format_vertex(m) for m in mids],
+            "c": format_vertex(c)}, "produced": format_vertex(produced)},
+            sort_keys=True)
 
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:

@@ -109,8 +109,16 @@ def key(v: Vertex) -> tuple:
 
 
 def vertex(k: tuple) -> Vertex:
-    """The vertex of a raw key; inverse of key."""
-    return Euclid(*k) if len(k) == 3 else Tube(*k)
+    """The vertex of a raw key; inverse of key.  A key inside the domain is
+    wrapped without a call to the checking __new__; any other key goes
+    through it, which raises its DomainError."""
+    if len(k) == 3:
+        if k[0] in (0, 1):
+            return tuple.__new__(Euclid, k)
+        return Euclid(*k)
+    if k[0] in ("U", "P") and k[1] in (0, 1) and k[3] >= 0:
+        return tuple.__new__(Tube, k)
+    return Tube(*k)
 
 
 def canonical_key(k: tuple, P: Params) -> tuple:
@@ -143,9 +151,13 @@ def omega_inv_key(k: tuple, P: Params) -> tuple:
 
 def canonical(v: Vertex, P: Params) -> Vertex:
     """Canonical representative; v itself when it already is one."""
-    k = key(v)
-    c = canonical_key(k, P)
-    return v if c == k else vertex(c)
+    # v[2] is y for a Euclidean vertex and idx for a tube
+    if len(v) == 3:
+        if 0 <= v[2] < P.q:
+            return v
+    elif 0 <= v[2] < P.rank(v[0]):
+        return v
+    return vertex(canonical_key(key(v), P))
 
 
 def tau(v: Vertex, P: Params) -> Vertex:
@@ -287,8 +299,9 @@ def parse_vertex(text: str) -> Vertex:
 
 
 def format_vertex(v: Vertex) -> str:
-    """Inverse of parse_vertex on stored fields (raw coordinates round-trip)."""
-    if isinstance(v, Euclid):
-        return "E(%d,%d,%d)" % (v.comp, v.x, v.y)
-    head = "TU" if v.family == "U" else "TP"
-    return "%s(%d,%d,%d)" % (head, v.level, v.idx, v.ht)
+    """Inverse of parse_vertex on stored fields (raw coordinates round-trip);
+    a raw key formats as its vertex."""
+    if len(v) == 3:
+        return "E(%d,%d,%d)" % v
+    f, l, j, h = v
+    return "%s(%d,%d,%d)" % ("TU" if f == "U" else "TP", l, j, h)

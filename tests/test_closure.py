@@ -13,6 +13,8 @@ from arq2d import model
 from arq2d.closure import (
     DistinguishedTriangle,
     _Fixpoint,
+    _LIFT_TABLES,
+    _lift_table,
     NotMaximal,
     Trace,
     WindowTooSmall,
@@ -328,6 +330,41 @@ class TestBoxShifts:
                 for y, at_y in ys.items():
                     assert list(model.box_shifts(w.P, x, y, *box)) == sorted(
                         at_x & at_y), (w, x, y)
+
+
+class TestLiftTables:
+    """`_Fixpoint.lifts` reads the offsets table of its box's shape, which
+    every run on a box of that shape shares and fills."""
+
+    def test_offsets_match_window_lifts(self):
+        """Each box cell's class has offsets equal to `Window.lifts` less
+        the box's lower-left cell.  The windows share shapes but not origins:
+        `_window_grid()` puts each shape at x_lo = -2 and 1, and at y_lo = 1
+        and -3, which differ mod q for q = 2, 4; the flagship's two-period
+        window is moved to every y_lo mod 3 and to a positive x_lo."""
+        flagship = default_window(FLAGSHIP, P33, 2)
+        moved = [flagship._replace(x_lo=flagship.x_lo + dx,
+                                   x_hi=flagship.x_hi + dx,
+                                   y_lo=flagship.y_lo + dy,
+                                   y_hi=flagship.y_hi + dy)
+                 for dx in (0, 20) for dy in (0, 1, 2)]
+        for w in list(_window_grid()) + moved:
+            run = _Fixpoint(w.P, w)
+            shape = (w.P, w.x_hi - w.x_lo + 1, w.y_hi - w.y_lo + 1)
+            assert run.offsets is _lift_table(*shape), w
+            for c in (0, 1):
+                for x in range(w.x_lo, w.x_hi + 1):
+                    for y in range(w.y_lo, w.y_hi + 1):
+                        k = model.canonical_key((c, x, y), w.P)
+                        assert list(run.lifts(k)) == [
+                            (lx - w.x_lo, ly - w.y_lo) for lx, ly in
+                            w.lifts(model.vertex(k))], (w, k)
+
+    def test_cache_is_bounded(self):
+        for width in range(1, 2 * _LIFT_TABLES + 1):
+            _lift_table(P33, width, 1)
+        info = _lift_table.cache_info()
+        assert info.maxsize == _LIFT_TABLES == info.currsize
 
 
 class TestStop:
@@ -683,10 +720,43 @@ class TestTrace:
 
     @pytest.mark.parametrize("trace", [
         [("ext", "x", "y")], [("rot-left", None, None)], [("ext",)], ["zz"],
-    ], ids=["strings", "nones", "short-step", "string-step"])
+        Trace([("ext",)], P33), Trace([("ext", "x", "y")], P33),
+        Trace([("rot-left", ("T-mesh-E", None, (), None), None)], P33),
+    ], ids=["strings", "nones", "short-step", "string-step", "raw-short-step",
+            "raw-strings", "raw-nones"])
     def test_malformed_step_rejected(self, trace):
         with pytest.raises(DomainError, match="malformed trace step"):
             replay_trace(FLAGSHIP, trace, P33)
+
+    @pytest.mark.parametrize("tamper,message", [
+        ("dropped", "trace premise .* not established"),
+        ("rule", "unknown trace rule 'shear'"),
+        ("produced", "not a conclusion of rot-right"),
+        ("premise-out-of-domain", r"trace premise E\(2,.* not established"),
+        ("produced-out-of-domain", "component index must be 0 or 1"),
+    ])
+    def test_raw_trace_tampered(self, flagship_state, tamper, message):
+        """The tampers of the decoded tests above, made to a `Trace`'s raw
+        steps: the first step dropped, an unknown rule, a rot-right
+        producing its a, and a rot-right with a slot off components 0 and 1,
+        as a mid premise or as the c it produces."""
+        steps = flagship_state.trace.steps
+        n = next(i for i, step in enumerate(steps) if step[0] == "rot-right")
+        rule, (family, a, mids, c), produced = steps[n]
+        off = (2,) + c[1:]
+        tampered = {
+            "dropped": steps[1:],
+            "rule": [("shear",) + steps[0][1:]],
+            "produced": steps[:n] + [(rule, (family, a, mids, c),
+                                      model.canonical_key(a, P33))],
+            "premise-out-of-domain": steps[:n] + [
+                (rule, (family, a, (off,) + mids[1:], c), produced)],
+            "produced-out-of-domain": steps[:n] + [
+                (rule, (family, a, mids, off), model.canonical_key(off, P33))],
+        }[tamper]
+        assert replay_trace(FLAGSHIP, Trace(steps[:n + 1], P33), P33)
+        with pytest.raises(DomainError, match=message):
+            replay_trace(FLAGSHIP, Trace(tampered, P33), P33)
 
     def test_trace_decodes_as_a_tuple(self, flagship_state):
         trace = flagship_state.trace
@@ -703,13 +773,15 @@ class TestTrace:
 
     def test_raw_and_decoded_replay_agree(self):
         """Every maximal (2,3) system through E(0,1,0) and each punctured
-        variant."""
+        variant: replay and the JSON lines agree."""
         P = Params(2, 3)
         for s in maximal_systems_containing([Euclid(0, 1, 0)], P):
             for S in [s] + [s[:i] + s[i + 1:] for i in range(len(s))]:
                 trace = closure(S, P).trace
                 assert replay_trace(S, tuple(trace), P) == replay_trace(
                     S, trace, P), S
+                assert list(trace_json_lines(tuple(trace))) == list(
+                    trace_json_lines(trace)), S
 
     @pytest.mark.parametrize("slot", ["produced", "premise"])
     def test_non_canonical_lift_rejected(self, flagship_state, slot):

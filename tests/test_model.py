@@ -62,6 +62,14 @@ class TestCanonical:
         assert canonical(shifted, P) == canonical(v, P)
 
     @given(param_vertex())
+    def test_vertex_inverts_key(self, pv):
+        P, v = pv
+        for u in (v, canonical(v, P)):
+            assert model.vertex(key(u)) == u
+            assert model.vertex(model.canonical_key(key(u), P)) == canonical(
+                v, P)
+
+    @given(param_vertex())
     def test_canonical_ranges(self, pv):
         P, v = pv
         c = canonical(v, P)
@@ -306,6 +314,14 @@ class TestValueContract:
          "tube family must be 'U' or 'P'"),
         (lambda: Tube("U", 2, 0, 0), DomainError, "tube level must be 0 or 1"),
         (lambda: Tube("U", 0, 0, -1), HeightOutOfRange,
+         "tube height must be >= 0"),
+        (lambda: model.vertex((2, 0, 0)), DomainError,
+         "Euclidean component index must be 0 or 1"),
+        (lambda: model.vertex(("X", 0, 0, 0)), DomainError,
+         "tube family must be 'U' or 'P'"),
+        (lambda: model.vertex(("P", 2, 0, 0)), DomainError,
+         "tube level must be 0 or 1"),
+        (lambda: model.vertex(("U", 0, 0, -1)), HeightOutOfRange,
          "tube height must be >= 0"),
         (lambda: Window(_P, 1, 0, 0, 1, 0), DomainError, "empty window"),
         (lambda: Window(_P, 0, 1, 1, 0, 0), DomainError, "empty window"),

@@ -584,6 +584,29 @@ def test_anchored_count_pin():
     assert time.perf_counter() - t0 < 15.0
 
 
+def test_one_completion():
+    """Observed pattern, not a theorem of the paper: removing any member
+    other than E(0,1,0) from a maximal system through it leaves a set whose
+    only maximal extension is that system, at every (p,q) from (2,2) to
+    (4,4): 15, 56, 210, 792 and 3,003 sets.  So no two of these maximal
+    systems differ in one member.  Time budget 15 s (about 0.2 s measured
+    at (4,4) in one warm process on a 2-core VM)."""
+    t0 = time.perf_counter()
+    anchor = Euclid(0, 1, 0)
+    counts = {}
+    for pq in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        P = Params(*pq)
+        for S in maximal_systems_containing([anchor], P):
+            for i, m in enumerate(S):
+                if m != anchor:
+                    rest = S[:i] + S[i + 1:]
+                    assert maximal_systems_containing(rest, P) == [S], rest
+                    counts[pq] = counts.get(pq, 0) + 1
+    assert counts == {(2, 2): 15, (2, 3): 56, (3, 3): 210, (3, 4): 792,
+                      (4, 4): 3003}
+    assert time.perf_counter() - t0 < 15.0
+
+
 def test_import_leaves_networkx_out():
     src = os.path.dirname(os.path.dirname(arq2d.__file__))
     code = ("import sys, arq2d; "
