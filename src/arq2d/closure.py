@@ -546,7 +546,8 @@ def replay_trace(S, trace, P: Params) -> frozenset:
                     break
             else:
                 raise DomainError("trace step produces %s, not a conclusion "
-                                  "of %s" % (format_vertex(produced), rule))
+                                  "of %s" % (format_vertex(vertex(produced)),
+                                             rule))
             for u in premises:
                 if (u := ck(u, TP)) not in cur:
                     break
@@ -554,7 +555,7 @@ def replay_trace(S, trace, P: Params) -> frozenset:
                 u = shifted
             if u is not None and u not in cur:
                 raise DomainError("trace premise %s not established"
-                                  % format_vertex(u))
+                                  % format_vertex(vertex(u)))
         except (TypeError, ValueError):
             raise DomainError("malformed trace step %r" % (step,)) from None
         cur.add(produced)
@@ -562,6 +563,7 @@ def replay_trace(S, trace, P: Params) -> frozenset:
 
 
 def _as_given(k, P):
+    """The ck of decoded steps: each slot is read as given."""
     return k
 
 

@@ -180,6 +180,18 @@ class TestValidation:
         with pytest.raises(HeightOutOfRange):
             Tube("U", 0, 0, -1)
 
+    @pytest.mark.parametrize("k", [(2, 0, 0), ("X", 0, 0, 0), ("P", 2, 0, 0),
+                                   ("U", 0, 0, -1)], ids=str)
+    def test_vertex_of_a_key_outside_the_domain(self, k):
+        """`model.vertex` skips the checking constructor only for a key
+        inside the domain; any other raises the constructor's error."""
+        with pytest.raises(DomainError) as info:
+            model.vertex(k)
+        with pytest.raises(DomainError) as direct:
+            (Euclid if len(k) == 3 else Tube)(*k)
+        assert type(info.value) is type(direct.value)
+        assert str(info.value) == str(direct.value)
+
 
 class TestWindow:
     @given(param_vertex(), st.integers(-8, 8), st.integers(1, 12),
@@ -314,14 +326,6 @@ class TestValueContract:
          "tube family must be 'U' or 'P'"),
         (lambda: Tube("U", 2, 0, 0), DomainError, "tube level must be 0 or 1"),
         (lambda: Tube("U", 0, 0, -1), HeightOutOfRange,
-         "tube height must be >= 0"),
-        (lambda: model.vertex((2, 0, 0)), DomainError,
-         "Euclidean component index must be 0 or 1"),
-        (lambda: model.vertex(("X", 0, 0, 0)), DomainError,
-         "tube family must be 'U' or 'P'"),
-        (lambda: model.vertex(("P", 2, 0, 0)), DomainError,
-         "tube level must be 0 or 1"),
-        (lambda: model.vertex(("U", 0, 0, -1)), HeightOutOfRange,
          "tube height must be >= 0"),
         (lambda: Window(_P, 1, 0, 0, 1, 0), DomainError, "empty window"),
         (lambda: Window(_P, 0, 1, 1, 0, 0), DomainError, "empty window"),

@@ -590,7 +590,7 @@ def test_one_completion():
     only maximal extension is that system, at every (p,q) from (2,2) to
     (4,4): 15, 56, 210, 792 and 3,003 sets.  So no two of these maximal
     systems differ in one member.  Time budget 15 s (about 0.2 s measured
-    at (4,4) in one warm process on a 2-core VM)."""
+    for all five pairs on a 2-core VM)."""
     t0 = time.perf_counter()
     anchor = Euclid(0, 1, 0)
     counts = {}
