@@ -15,7 +15,7 @@ lists the triangles and serves as the reference.  Every derivation is
 traced on raw keys, and a `Trace` decodes its steps to triangles of vertices
 only when they are read.  `replay_trace` checks each step's premises and
 conclusion on canonical keys, canonicalizing a raw slot only when a check
-reads it, and `trace_json_lines` formats the raw keys directly.
+reads it.
 """
 
 from __future__ import annotations
@@ -90,6 +90,13 @@ class DistinguishedTriangle(Value, namedtuple("DistinguishedTriangle",
                 tuple(vertex_sort_key(m) for m in self.mids),
                 vertex_sort_key(self.c))
 
+    def to_json(self) -> dict:
+        return {
+            "a": format_vertex(self.a),
+            "mids": [format_vertex(m) for m in self.mids],
+            "c": format_vertex(self.c),
+        }
+
 
 def triangle_catalog(P: Params, window: Window):
     """Every catalog triangle whose three slots all lie in the window.
@@ -155,8 +162,8 @@ class Trace(Sequence):
     canonical key of the produced vertex.  Indexing and iteration decode a
     step to (rule, DistinguishedTriangle, produced) of canonical vertices; a
     slice is a tuple of decoded steps, and a trace equals a tuple (or a
-    trace) with the same decoded steps.  `replay_trace` and
-    `trace_json_lines` read the raw steps without decoding them."""
+    trace) with the same decoded steps.  `replay_trace` reads the raw steps
+    without decoding them."""
 
     __slots__ = ("steps", "P")
 
@@ -260,8 +267,10 @@ _LIFT_TABLES = 32
 @functools.lru_cache(maxsize=_LIFT_TABLES)
 def _lift_table(P: Params, width: int, height: int) -> dict:
     """The lift offsets of a width x height box, filled on demand: the
-    canonical Euclidean class at (i, j) from the box's lower-left cell maps
-    to the offsets of its lifts, in `box_shifts` order."""
+    Euclidean class whose representative with 0 <= j < q lies at (i, j)
+    from the box's lower-left cell maps to the offsets of its lifts, in
+    `box_shifts` order.  A table holds one entry for each class that meets
+    the box or lies one Omega step from one that does."""
     return {}
 
 
@@ -315,11 +324,14 @@ class _Fixpoint:
     def lifts(self, key):
         """Lifts of a canonical Euclidean key, as offsets from the box's
         lower-left cell, read off the offsets table of the box's shape."""
-        at = (key[1] - self.x0, key[2] - self.y0)
-        got = self.offsets.get(at)
+        # the table key is the offset of the class's representative with
+        # 0 <= j < q, the same whatever the box's origin
+        (p, q), j = self.P, key[2] - self.y0
+        s = j // q
+        i, j = key[1] - self.x0 + p * s, j - q * s
+        got = self.offsets.get((i, j))
         if got is None:
-            (i, j), (p, q) = at, self.P
-            got = self.offsets[at] = tuple(
+            got = self.offsets[i, j] = tuple(
                 (i - p * l, j + q * l) for l in box_shifts(
                     self.P, i, j, 0, self.w.x_hi - self.x0, 0,
                     self.w.y_hi - self.y0))
@@ -519,9 +531,10 @@ class _Fixpoint:
 def replay_trace(S, trace, P: Params) -> frozenset:
     """Re-run a trace, checking every premise and that each step produces
     its rule's conclusion; returns the final set.  A `Trace` replays from
-    its raw steps, and a slot is canonicalized only when a check reads it;
-    the slots of any other sequence of steps are taken as given, so a
-    non-canonical one is rejected."""
+    its raw steps, and a slot is canonicalized only when a check reads it:
+    an `ext` mid after the produced one is checked to be a 3- or 4-field
+    key and no further.  The slots of any other sequence of steps are taken
+    as given, so a non-canonical one is rejected."""
     if isinstance(trace, Trace):
         steps, ck, TP = trace.steps, canonical_key, trace.P
     else:
@@ -541,6 +554,10 @@ def replay_trace(S, trace, P: Params) -> frozenset:
                 conclusions, premises, shifted = (a,), mids, omega_key(c, P)
             else:
                 raise DomainError("unknown trace rule %r" % (rule,))
+            # a conclusion after the produced one is not canonicalized, so
+            # each is first checked to be a key
+            if not all(len(u) in (3, 4) for u in conclusions):
+                raise TypeError("a conclusion is not a key")
             for u in conclusions:
                 if ck(u, TP) == produced:
                     break
@@ -582,20 +599,10 @@ def _step_keys(step) -> tuple:
 
 
 def trace_json_lines(trace):
-    """One JSON line per step, slots canonical: a `Trace` is formatted from
-    its raw keys, any other sequence from its decoded triangles."""
-    if isinstance(trace, Trace):
-        ck, P = canonical_key, trace.P
-        steps = ((rule, ck(a, P), [ck(m, P) for m in mids], ck(c, P),
-                  produced) for rule, (_, a, mids, c), produced in trace.steps)
-    else:
-        steps = ((rule, tri.a, tri.mids, tri.c, produced)
-                 for rule, tri, produced in trace)
-    for rule, a, mids, c, produced in steps:
-        yield json.dumps({"rule": rule, "triangle": {
-            "a": format_vertex(a), "mids": [format_vertex(m) for m in mids],
-            "c": format_vertex(c)}, "produced": format_vertex(produced)},
-            sort_keys=True)
+    for rule, tri, produced in trace:
+        yield json.dumps({"rule": rule, "triangle": tri.to_json(),
+                          "produced": format_vertex(produced)},
+                         sort_keys=True)
 
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:

@@ -111,12 +111,13 @@ def key(v: Vertex) -> tuple:
 def vertex(k: tuple) -> Vertex:
     """The vertex of a raw key; inverse of key.  A key inside the domain is
     wrapped without a call to the checking __new__; any other key goes
-    through it, which raises its DomainError."""
+    through it, which raises its DomainError (a TypeError for a key of
+    another length)."""
     if len(k) == 3:
         if k[0] in (0, 1):
             return tuple.__new__(Euclid, k)
         return Euclid(*k)
-    if k[0] in ("U", "P") and k[1] in (0, 1) and k[3] >= 0:
+    if len(k) == 4 and k[0] in ("U", "P") and k[1] in (0, 1) and k[3] >= 0:
         return tuple.__new__(Tube, k)
     return Tube(*k)
 
@@ -299,9 +300,8 @@ def parse_vertex(text: str) -> Vertex:
 
 
 def format_vertex(v: Vertex) -> str:
-    """Inverse of parse_vertex on stored fields (raw coordinates round-trip);
-    a raw key formats as its vertex."""
-    if len(v) == 3:
-        return "E(%d,%d,%d)" % v
-    f, l, j, h = v
-    return "%s(%d,%d,%d)" % ("TU" if f == "U" else "TP", l, j, h)
+    """Inverse of parse_vertex on stored fields (raw coordinates round-trip)."""
+    if isinstance(v, Euclid):
+        return "E(%d,%d,%d)" % (v.comp, v.x, v.y)
+    head = "TU" if v.family == "U" else "TP"
+    return "%s(%d,%d,%d)" % (head, v.level, v.idx, v.ht)

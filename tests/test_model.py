@@ -181,13 +181,16 @@ class TestValidation:
             Tube("U", 0, 0, -1)
 
     @pytest.mark.parametrize("k", [(2, 0, 0), ("X", 0, 0, 0), ("P", 2, 0, 0),
-                                   ("U", 0, 0, -1)], ids=str)
+                                   ("U", 0, 0, -1), ("U", 0, 0, 0, 9), (),
+                                   ("U", 0)], ids=str)
     def test_vertex_of_a_key_outside_the_domain(self, k):
         """`model.vertex` skips the checking constructor only for a key
-        inside the domain; any other raises the constructor's error."""
-        with pytest.raises(DomainError) as info:
+        inside the domain; any other raises the constructor's error, a
+        TypeError for a key of a length other than 3 or 4."""
+        error = DomainError if len(k) in (3, 4) else TypeError
+        with pytest.raises(error) as info:
             model.vertex(k)
-        with pytest.raises(DomainError) as direct:
+        with pytest.raises(error) as direct:
             (Euclid if len(k) == 3 else Tube)(*k)
         assert type(info.value) is type(direct.value)
         assert str(info.value) == str(direct.value)
