@@ -8,7 +8,8 @@ on comp 0 / level 0 and closed integer formulas decide the question.
 Supports and bi-perps are reported as regions.  A region answers membership
 with O(1) integer arithmetic; set-level images under omega / omega^{-1} are
 computed symbolically so left supports come from right supports by duality
-(Hom(Y,X) != 0 iff Hom(X, omega Y) != 0).
+(Hom(Y,X) != 0 iff Hom(X, omega Y) != 0).  describe(P) reports a region
+as its kind plus its fields, each *_lo/*_hi pair as one [lo, hi] list.
 
 A set with a Euclidean member has a finite bi-perp, read from one
 orthogonality table per anchor band, keyed by (Params, ax) with ax the x
@@ -102,32 +103,52 @@ PART_SWAP = {"e0": "e1", "e1": "e0", "u0": "u1", "u1": "u0", "p0": "p1", "p1": "
 _AXIS = {"U": "y", "P": "x"}
 
 
-def _tube_matches(region, v) -> bool:
-    return (
-        isinstance(v, Tube)
-        and v.family == region.family
-        and v.level == region.level
-    )
+class _Described:
+    """describe(P) of a region that reports its kind and its fields, with
+    each *_lo/*_hi pair written as one [lo, hi] list."""
 
-
-class Empty(Value, namedtuple("Empty", ())):
     __slots__ = ()
+
+    def describe(self, P):
+        doc = {"kind": self.kind}
+        for name, value in self._asdict().items():
+            if name.endswith("_lo"):
+                doc[name[:-3]] = [value]
+            elif name.endswith("_hi"):
+                doc[name[:-3]].append(value)
+            else:
+                doc[name] = value
+        return doc
+
+
+def _tube_interval(region, v, P, lo, hi, top_lo, top_hi) -> bool:
+    """Is v on the region's family and level, with some lift i' of its
+    index such that lo <= i' <= hi and top_lo <= i' + ht <= top_hi?  None
+    bounds are infinite."""
+    if not (isinstance(v, Tube) and v.family == region.family
+            and v.level == region.level):
+        return False
+    if top_lo is not None:
+        lo = top_lo - v.ht if lo is None else max(lo, top_lo - v.ht)
+    if top_hi is not None:
+        hi = top_hi - v.ht if hi is None else min(hi, top_hi - v.ht)
+    return residue_in_interval(v.idx, P.rank(region.family), lo, hi)
+
+
+class Empty(Value, _Described, namedtuple("Empty", ())):
+    __slots__ = ()
+    kind = "empty"
 
     def contains(self, v, P):
         return False
 
-    def describe(self, P):
-        return {"kind": "empty"}
 
-
-class All(Value, namedtuple("All", "part")):
+class All(Value, _Described, namedtuple("All", "part")):
     __slots__ = ()
+    kind = "all"
 
     def contains(self, v, P):
         return part_of(v) == self.part
-
-    def describe(self, P):
-        return {"kind": "all", "part": self.part}
 
 
 class FiniteSet(Value, namedtuple("FiniteSet", "vertices")):
@@ -142,8 +163,9 @@ class FiniteSet(Value, namedtuple("FiniteSet", "vertices")):
         return {"kind": "set", "vertices": [format_vertex(v) for v in vs]}
 
 
-class ForwardCone(Value, namedtuple("ForwardCone", "comp x y")):
+class ForwardCone(Value, _Described, namedtuple("ForwardCone", "comp x y")):
     __slots__ = ()
+    kind = "forward_cone"
     _moving = ("x", "y")
 
     def contains(self, v, P):
@@ -151,12 +173,10 @@ class ForwardCone(Value, namedtuple("ForwardCone", "comp x y")):
             return False
         return ceil_div(self.y - v.y, P.q) <= (v.x - self.x) // P.p
 
-    def describe(self, P):
-        return {"kind": "forward_cone", "comp": self.comp, "x": self.x, "y": self.y}
 
-
-class BackwardCone(Value, namedtuple("BackwardCone", "comp x y")):
+class BackwardCone(Value, _Described, namedtuple("BackwardCone", "comp x y")):
     __slots__ = ()
+    kind = "backward_cone"
     _moving = ("x", "y")
 
     def contains(self, v, P):
@@ -164,12 +184,11 @@ class BackwardCone(Value, namedtuple("BackwardCone", "comp x y")):
             return False
         return ceil_div(v.x - self.x, P.p) <= (self.y - v.y) // P.q
 
-    def describe(self, P):
-        return {"kind": "backward_cone", "comp": self.comp, "x": self.x, "y": self.y}
 
-
-class Rectangle(Value, namedtuple("Rectangle", "comp x_lo x_hi y_lo y_hi")):
+class Rectangle(Value, _Described,
+                namedtuple("Rectangle", "comp x_lo x_hi y_lo y_hi")):
     __slots__ = ()
+    kind = "rectangle"
     _moving = ("x_lo", "x_hi", "y_lo", "y_hi")
 
     def contains(self, v, P):
@@ -177,14 +196,6 @@ class Rectangle(Value, namedtuple("Rectangle", "comp x_lo x_hi y_lo y_hi")):
             return False
         return bool(box_shifts(P, v.x, v.y, self.x_lo, self.x_hi, self.y_lo,
                                self.y_hi))
-
-    def describe(self, P):
-        return {
-            "kind": "rectangle",
-            "comp": self.comp,
-            "x": [self.x_lo, self.x_hi],
-            "y": [self.y_lo, self.y_hi],
-        }
 
 
 class ResidueBand(Value, namedtuple("ResidueBand", "axis comp residues")):
@@ -213,79 +224,45 @@ class ResidueBand(Value, namedtuple("ResidueBand", "axis comp residues")):
         }
 
 
-class QuasiCone(Value, namedtuple("QuasiCone", "family level idx")):
+class QuasiCone(Value, _Described,
+                namedtuple("QuasiCone", "family level idx")):
     """Vertices of one tube level whose quasi-composition covers a fixed
     quasi-simple index: some lift i' of the vertex has i' <= idx <= i' + ht."""
 
     __slots__ = ()
+    kind = "quasi_cone"
     _moving = ("idx",)
 
     def contains(self, v, P):
-        if not _tube_matches(self, v):
-            return False
-        return residue_in_interval(v.idx, P.rank(self.family), self.idx - v.ht, self.idx)
-
-    def describe(self, P):
-        return {
-            "kind": "quasi_cone",
-            "family": self.family,
-            "level": self.level,
-            "idx": self.idx,
-        }
+        return _tube_interval(self, v, P, None, self.idx, self.idx, None)
 
 
-class TriangleArea(Value,
+class TriangleArea(Value, _Described,
                    namedtuple("TriangleArea", "family level idx apex_ht")):
     """Finite wing below an apex: some lift i' has idx <= i' and
     i' + ht <= idx + apex_ht.  Empty when apex_ht < 0."""
 
     __slots__ = ()
+    kind = "triangle"
     _moving = ("idx",)
 
     def contains(self, v, P):
-        if self.apex_ht < 0 or not _tube_matches(self, v):
-            return False
-        return residue_in_interval(
-            v.idx, P.rank(self.family), self.idx, self.idx + self.apex_ht - v.ht
-        )
-
-    def describe(self, P):
-        return {
-            "kind": "triangle",
-            "family": self.family,
-            "level": self.level,
-            "idx": self.idx,
-            "apex_ht": self.apex_ht,
-        }
+        return _tube_interval(self, v, P, self.idx, None, None,
+                              self.idx + self.apex_ht)
 
 
-class TubeZone(Value, namedtuple(
+class TubeZone(Value, _Described, namedtuple(
         "TubeZone", "family level idx_lo idx_hi top_lo top_hi")):
     """One existential lift i' with idx_lo <= i' <= idx_hi and
     top_lo <= i' + ht <= top_hi.  None bounds are infinite."""
 
     __slots__ = ()
+    kind = "tube_zone"
     _moving = ("idx_lo", "idx_hi", "top_lo", "top_hi")
 
     def contains(self, v, P):
-        if not _tube_matches(self, v):
-            return False
-        lows = [self.idx_lo, self.top_lo - v.ht if self.top_lo is not None else None]
-        highs = [self.idx_hi, self.top_hi - v.ht if self.top_hi is not None else None]
-        lows = [x for x in lows if x is not None]
-        highs = [x for x in highs if x is not None]
-        lo = max(lows) if lows else None
-        hi = min(highs) if highs else None
-        return residue_in_interval(v.idx, P.rank(self.family), lo, hi)
-
-    def describe(self, P):
-        return {
-            "kind": "tube_zone",
-            "family": self.family,
-            "level": self.level,
-            "idx": [self.idx_lo, self.idx_hi],
-            "top": [self.top_lo, self.top_hi],
-        }
+        return _tube_interval(self, v, P, self.idx_lo, self.idx_hi,
+                              self.top_lo, self.top_hi)
 
 
 class TubeResidueBand(Value, namedtuple(
@@ -297,7 +274,8 @@ class TubeResidueBand(Value, namedtuple(
     _moving = ("idx_residues", "top_residues")
 
     def contains(self, v, P):
-        if not _tube_matches(self, v):
+        if not (isinstance(v, Tube) and v.family == self.family
+                and v.level == self.level):
             return False
         r = P.rank(self.family)
         return v.idx % r in {s % r for s in self.idx_residues} and (
@@ -343,11 +321,7 @@ EMPTY = Empty()
 
 def _union(*regions):
     live = tuple(r for r in regions if not isinstance(r, Empty))
-    if not live:
-        return EMPTY
-    if len(live) == 1:
-        return live[0]
-    return Union(live)
+    return live[0] if len(live) == 1 else Union(live)
 
 
 def _triangle_or_empty(family, level, idx, apex_ht):
@@ -562,7 +536,7 @@ def _witnesses(vs, P: Params, parts):
 
 
 def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
-    # X is canonical, comp 0 or level 0
+    # X is a canonical brick, comp 0 or level 0
     parts = _empty_parts()
     if isinstance(X, Euclid):
         a, b = X.x, X.y
@@ -575,7 +549,8 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
         return SupportReport(P, parts, False)
     c, d = X.idx, X.ht
     r = P.rank(X.family)
-    away = frozenset(range(c + d + 1, c + r))  # the r-1-d residues off the support
+    # the r-1-d residues off the support, at least one since d <= r - 2
+    away = frozenset(range(c + d + 1, c + r))
     fam = X.family
     lo = fam.lower()
     other = "p" if fam == "U" else "u"
@@ -583,12 +558,12 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
     parts["e1"] = ResidueBand(_AXIS[fam], 1, frozenset(s + 1 for s in away))
     parts[lo + "0"] = _union(
         _triangle_or_empty(fam, 0, c + 1, d - 2),
-        TubeResidueBand(fam, 0, away, away) if away else EMPTY,
+        TubeResidueBand(fam, 0, away, away),
     )
     level1_idx = frozenset({c}) | frozenset(range(c + d + 2, c + r))
     parts[lo + "1"] = _union(
         _triangle_or_empty(fam, 1, c + 1, d - 1),
-        TubeResidueBand(fam, 1, level1_idx, away) if away else EMPTY,
+        TubeResidueBand(fam, 1, level1_idx, away),
     )
     parts[other + "0"] = All(other + "0")
     parts[other + "1"] = All(other + "1")

@@ -65,7 +65,11 @@ class Params(Value, namedtuple("Params", "p q")):
 
     def rank(self, family: str) -> int:
         # "U" tubes wrap in y (rank q), "P" tubes wrap in x (rank p)
-        return self.q if family == "U" else self.p
+        if family == "U":
+            return self.q
+        if family == "P":
+            return self.p
+        raise DomainError("tube family must be 'U' or 'P'")
 
 
 class Euclid(Value, namedtuple("Euclid", "comp x y")):

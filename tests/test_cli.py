@@ -1,5 +1,6 @@
 """Command-line surface: output contracts and exit codes, in process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -107,6 +108,42 @@ class TestBiperp:
         doc = json.loads(out)
         assert doc["set"] == ["E(0,0,0)", "E(0,1,1)"]
 
+
+
+class TestRegionJsonPins:
+    """SHA-256 of the stdout of supports and biperp --window 1 at (3, 4),
+    compact and --pretty, for a tube brick, a tube above the brick cap and
+    a tube-only pair: the region JSON these print stays byte for byte."""
+
+    @pytest.mark.parametrize("command,members,digest,pretty_digest", [
+        ("supports", "TU(1,2,1)",
+         "670db36c5eb80d72355ed640d85c70acd3b5b22e5286138a24a70298de2379ce",
+         "dd6dcde91861a05cf9c55d41186df7bc4dcb4ed158793e19e0d7ad4c156ff4a9"),
+        ("supports", "TP(0,1,2)",
+         "d293ce87876549975f716f63fe599953e4bd3774764c597993b9d74cec5648a2",
+         "0fb7ed8751f5d27ea07ff8e1fab432316cd2fcc740086369568a52a84b1dac61"),
+        ("supports", "TU(0,0,0);TP(1,2,1)",
+         "784157464e1398891fc1b6af37119e50b1a282e6f634275bd3d8ad21fbbdec12",
+         "a5fcd9594007ece269d2d6fda9cee531b6f7f41701d4dc921f9a6bd7d8959cda"),
+        ("biperp", "TU(1,2,1)",
+         "055c3f6e6e8ab3af8ca925e7f78b0c86872d3452fbc039220b18fbfb82010610",
+         "d0e194c5e253c26da2c43e5b9e6065b94d147704083d998501299b22f0ddfb93"),
+        ("biperp", "TP(0,1,2)",
+         "5099ba46a5a00a649ed38a4c17b1691a41979f5f2242851e21344df3d925068f",
+         "b09dcb75e17cdb76b3e448ba86a3a20fcfdc139191452586476abe1fdee3f1ad"),
+        ("biperp", "TU(0,0,0);TP(1,2,1)",
+         "f7060dda1ea2cd7ab125ba0b240ede2ffdbd0cf4eb91b84dd0fafa02c9463116",
+         "e3a04f71fa79556db3a878ffe8f4ed3d82957b569503106160da27d7691ca8a2"),
+    ])
+    def test_stdout_digest(self, capsys, command, members, digest,
+                           pretty_digest):
+        argv = [command, "--p", "3", "--q", "4", "--set", members]
+        if command == "biperp":
+            argv += ["--window", "1"]
+        for extra, want in (((), digest), (("--pretty",), pretty_digest)):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
 
 class TestEnumerateMax:
     def test_counts_at_two_two(self, capsys):

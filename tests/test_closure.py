@@ -783,6 +783,25 @@ class TestTrace:
         with pytest.raises(DomainError, match=message):
             replay_trace(FLAGSHIP, Trace(tampered, P33), P33)
 
+    @pytest.mark.parametrize("slot", ["premise", "produced"])
+    def test_raw_trace_unknown_family(self, flagship_state, slot):
+        """A hand-built `Trace` whose rot-right has a tube slot of family
+        "X", as a mid premise or as the c it produces: replaying or
+        decoding the step raises Tube's error."""
+        steps = flagship_state.trace.steps
+        n = next(i for i, step in enumerate(steps) if step[0] == "rot-right")
+        rule, (family, a, mids, c), produced = steps[n]
+        off = ("X", 0, 5, 0)
+        step = {
+            "premise": (rule, (family, a, (off,) + mids[1:], c), produced),
+            "produced": (rule, (family, a, mids, off), ("X", 0, 2, 0)),
+        }[slot]
+        trace = Trace(steps[:n] + [step], P33)
+        with pytest.raises(DomainError, match="tube family must be"):
+            replay_trace(FLAGSHIP, trace, P33)
+        with pytest.raises(DomainError, match="tube family must be"):
+            trace[n]
+
     def test_trace_decodes_as_a_tuple(self, flagship_state):
         trace = flagship_state.trace
         steps = tuple(trace)

@@ -4,14 +4,26 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import param_vertex_pair, sigma_x, sigma_y
+from conftest import param_vertex_pair, params_strategy, sigma_x, sigma_y
 from arq2d import homs
 from arq2d.homs import (
+    EMPTY,
     PART_NAMES,
+    All,
+    BackwardCone,
     FiniteSet,
+    ForwardCone,
     Intersection,
+    QuasiCone,
+    Rectangle,
+    ResidueBand,
+    TriangleArea,
+    TubeResidueBand,
+    TubeZone,
+    Union,
     biperp,
     lsupp,
     omega_inv_region,
@@ -395,3 +407,116 @@ class TestSingleBrickBiperpShape:
         assert set(doc["parts"]) == {"e0", "e1", "u0", "u1", "p0", "p1"}
         assert isinstance(doc["homogeneous_meets"], bool)
         assert part_of(Tube("P", 1, 0, 0)) == "p1"
+
+
+class TestDescribe:
+    """One region of each of the 14 kinds that supports JSON reports, with
+    the describe(P) output it has at (3, 4)."""
+
+    @pytest.mark.parametrize("region,doc", [
+        (EMPTY, {"kind": "empty"}),
+        (All("u1"), {"kind": "all", "part": "u1"}),
+        (FiniteSet(frozenset({Tube("U", 0, 1, 0), Euclid(1, 2, 3)})),
+         {"kind": "set", "vertices": ["E(1,2,3)", "TU(0,1,0)"]}),
+        (ForwardCone(0, 1, 2),
+         {"kind": "forward_cone", "comp": 0, "x": 1, "y": 2}),
+        (BackwardCone(1, -1, 0),
+         {"kind": "backward_cone", "comp": 1, "x": -1, "y": 0}),
+        (Rectangle(1, -1, 1, 1, 3),
+         {"kind": "rectangle", "comp": 1, "x": [-1, 1], "y": [1, 3]}),
+        (ResidueBand("x", 0, frozenset({4, 5})),
+         {"kind": "x_band", "comp": 0, "residues": [1, 2]}),
+        (ResidueBand("y", 1, frozenset({1, 5, 6})),
+         {"kind": "y_band", "comp": 1, "residues": [1, 2]}),
+        (QuasiCone("U", 1, 2),
+         {"kind": "quasi_cone", "family": "U", "level": 1, "idx": 2}),
+        (TriangleArea("P", 0, 1, 1),
+         {"kind": "triangle", "family": "P", "level": 0, "idx": 1,
+          "apex_ht": 1}),
+        (TubeZone("U", 0, 1, 3, 3, None),
+         {"kind": "tube_zone", "family": "U", "level": 0, "idx": [1, 3],
+          "top": [3, None]}),
+        (TubeZone("P", 1, None, 2, 2, 4),
+         {"kind": "tube_zone", "family": "P", "level": 1, "idx": [None, 2],
+          "top": [2, 4]}),
+        (TubeResidueBand("P", 1, frozenset({0, 4}), frozenset({2})),
+         {"kind": "tube_residue_band", "family": "P", "level": 1,
+          "idx_residues": [0, 1], "top_residues": [2]}),
+        (Union((TriangleArea("U", 0, 1, 0),
+                TubeResidueBand("U", 0, frozenset({3}), frozenset({3})))),
+         {"kind": "union", "members": [
+             {"kind": "triangle", "family": "U", "level": 0, "idx": 1,
+              "apex_ht": 0},
+             {"kind": "tube_residue_band", "family": "U", "level": 0,
+              "idx_residues": [3], "top_residues": [3]}]}),
+        (Intersection((QuasiCone("P", 1, 0), All("p1"))),
+         {"kind": "intersection", "members": [
+             {"kind": "quasi_cone", "family": "P", "level": 1, "idx": 0},
+             {"kind": "all", "part": "p1"}]}),
+    ], ids=lambda x: "" if isinstance(x, dict) else type(x).__name__)
+    def test_pinned(self, region, doc):
+        assert region.describe(Params(3, 4)) == doc
+
+
+@st.composite
+def _tube_probe(draw):
+    """(P, v, family, level): a tube vertex, tall ones included, and most
+    often its own family and level."""
+    P = draw(params_strategy(1, 5))
+    v = Tube(draw(st.sampled_from("UP")), draw(st.integers(0, 1)),
+             draw(st.integers(-12, 12)), draw(st.integers(0, 12)))
+    if draw(st.integers(0, 3)):
+        return P, v, v.family, v.level
+    return P, v, draw(st.sampled_from("UP")), draw(st.integers(0, 1))
+
+
+def _lift_search(region, v, P, holds):
+    """Brute force: v is on the region's family and level, and some lift
+    i' = idx + rank*m with |m| <= 40 passes holds(i', ht).  Bounds and
+    indices stay within 12 of 0 and heights at most 12, so any lift that
+    meets the bounds has such an m."""
+    r = P.rank(v.family)
+    return (v.family, v.level) == (region.family, region.level) and any(
+        holds(v.idx + r * m, v.ht) for m in range(-40, 41))
+
+
+# None (an infinite bound) as one value in 26, not one draw in two
+_bound = st.sampled_from([None, *range(-12, 13)])
+
+
+class TestTubeIntervalRegions:
+    """QuasiCone, TriangleArea and TubeZone hold a tube vertex exactly
+    when a direct search finds a lift that meets the bounds their
+    docstrings state."""
+
+    @settings(max_examples=80)
+    @given(_tube_probe(), st.integers(-12, 12))
+    def test_quasi_cone(self, probe, idx):
+        P, v, family, level = probe
+        region = QuasiCone(family, level, idx)
+        assert region.contains(v, P) == _lift_search(
+            region, v, P, lambda i, ht: i <= idx <= i + ht)
+
+    @settings(max_examples=80)
+    @given(_tube_probe(), st.integers(-12, 12), st.integers(-3, 12))
+    def test_triangle_area(self, probe, idx, apex_ht):
+        P, v, family, level = probe
+        region = TriangleArea(family, level, idx, apex_ht)
+        assert region.contains(v, P) == _lift_search(
+            region, v, P, lambda i, ht: idx <= i and i + ht <= idx + apex_ht)
+
+    @settings(max_examples=150)
+    @example((Params(2, 3), Tube("U", 0, 7, 9), "U", 0),
+             (None, None, None, None))
+    @given(_tube_probe(), st.tuples(_bound, _bound, _bound, _bound))
+    def test_tube_zone(self, probe, bounds):
+        P, v, family, level = probe
+        lo, hi, top_lo, top_hi = bounds
+
+        def holds(i, ht):
+            return ((lo is None or lo <= i) and (hi is None or i <= hi)
+                    and (top_lo is None or top_lo <= i + ht)
+                    and (top_hi is None or i + ht <= top_hi))
+
+        region = TubeZone(family, level, lo, hi, top_lo, top_hi)
+        assert region.contains(v, P) == _lift_search(region, v, P, holds)

@@ -196,6 +196,26 @@ class TestValidation:
         assert str(info.value) == str(direct.value)
 
 
+    def test_rank_of_each_family(self):
+        P = Params(3, 4)
+        assert (P.rank("U"), P.rank("P")) == (4, 3)
+        for family in ("X", "u", "", None):
+            with pytest.raises(DomainError, match="tube family must be"):
+                P.rank(family)
+
+    @pytest.mark.parametrize("key_map", [model.canonical_key, omega_key,
+                                         omega_inv_key],
+                             ids=lambda f: f.__name__)
+    def test_key_maps_reject_an_unknown_family(self, key_map):
+        """A hand-built tube key of an unknown family raises Tube's error
+        instead of being wrapped by the rank of "P"."""
+        P = Params(3, 4)
+        with pytest.raises(DomainError) as info:
+            key_map(("X", 0, 5, 0), P)
+        with pytest.raises(DomainError) as direct:
+            Tube("X", 0, 5, 0)
+        assert str(info.value) == str(direct.value)
+
 class TestWindow:
     @given(param_vertex(), st.integers(-8, 8), st.integers(1, 12),
            st.integers(-8, 8), st.integers(1, 12), st.integers(0, 4))
