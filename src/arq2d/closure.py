@@ -536,9 +536,12 @@ def replay_trace(S, trace, P: Params) -> frozenset:
     key and no further.  The slots of any other sequence of steps are taken
     as given, so a non-canonical one is rejected."""
     if isinstance(trace, Trace):
-        steps, ck, TP = trace.steps, canonical_key, trace.P
+        if trace.P != P:
+            raise DomainError("trace recorded at (p,q) = (%d,%d), replayed "
+                              "at (%d,%d)" % (*trace.P, *P))
+        steps, ck = trace.steps, canonical_key
     else:
-        steps, ck, TP = map(_step_keys, trace), _as_given, P
+        steps, ck = map(_step_keys, trace), _as_given
     cur = {canonical_key(key(v), P) for v in S}
     for step in steps:
         try:
@@ -559,14 +562,14 @@ def replay_trace(S, trace, P: Params) -> frozenset:
             if not all(len(u) in (3, 4) for u in conclusions):
                 raise TypeError("a conclusion is not a key")
             for u in conclusions:
-                if ck(u, TP) == produced:
+                if ck(u, P) == produced:
                     break
             else:
                 raise DomainError("trace step produces %s, not a conclusion "
                                   "of %s" % (format_vertex(vertex(produced)),
                                              rule))
             for u in premises:
-                if (u := ck(u, TP)) not in cur:
+                if (u := ck(u, P)) not in cur:
                     break
             else:
                 u = shifted

@@ -499,35 +499,37 @@ def _witnesses(vs, P: Params, parts):
 
     Members are applied in order and each decides only the candidates that
     survived the members before it, the pairs a direct filter would test.
-    A member outside the band gets a row computed for this call only.
+    Each member's band index is read once and a warm row is read in place;
+    a member outside the band gets a row computed for this call only.
     """
-    if parts is None:
-        parts = PART_NAMES
-    unknown = sorted(set(parts) - set(PART_NAMES))
-    if unknown:
-        raise DomainError("unknown part %s; valid parts are %s"
-                          % (", ".join(unknown), ", ".join(PART_NAMES)))
-    if not parts:
-        raise DomainError("parts must name at least one part")
-    anchors = [v for v in vs if isinstance(v, Euclid)]
-    if not anchors:
+    if parts is not None:  # None stands for every part
+        parts = set(parts)
+        unknown = sorted(parts - set(PART_NAMES))
+        if unknown:
+            raise DomainError("unknown part %s; valid parts are %s"
+                              % (", ".join(unknown), ", ".join(PART_NAMES)))
+        if not parts:
+            raise DomainError("parts must name at least one part")
+    anchor = next((v for v in vs if isinstance(v, Euclid)), None)
+    if anchor is None:
         return None, 0
-    band = _band(P, anchors[0].x)
-    mask = 0
-    for name in parts:
-        mask |= band.part_bits[name]
-    for v in vs:
-        if v in band.index:
-            mask &= ~(1 << band.index[v])
-    for v in vs:
+    band = _band(P, anchor.x)
+    mask = ((1 << len(band.cand)) - 1 if parts is None
+            else sum(band.part_bits[name] for name in parts))
+    rows = [band.index.get(v) for v in vs]
+    for i in rows:
+        if i is not None:
+            mask &= ~(1 << i)
+    for v, i in zip(vs, rows):
         if not mask:
             break
-        i = band.index.get(v)
-        if i is not None:
-            mask &= band.row(i, mask)
-        else:
+        if i is None:
             mask = sum(1 << j for j in _bits(mask)
                        if _orthogonal_pair(band.cand[j], v, P))
+        elif mask & ~band.known[i]:
+            mask &= band.row(i, mask)
+        else:
+            mask &= band.ortho[i]
     return band, mask
 
 

@@ -734,6 +734,34 @@ class TestTrace:
         text = "\n".join(line for t in traces for line in trace_json_lines(t))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
 
+    # the same digest over every punctured variant of every maximal system
+    # through E(0,1,0), in enumeration order, each member dropped in turn:
+    # 20, 70, 252 and 924 inconclusive closures; recorded before the witness
+    # queries read each member's band index once, and never re-recorded
+    PUNCTURED_DIGESTS = {
+        Params(2, 2): "84c4b307f86bdd5a303f6bcb90767ee6"
+                      "879d860695b5870815512597ee0cf14e",
+        Params(2, 3): "94305124f2b435464404799c101fa2e1"
+                      "878fa3bbbf08956cca7c79e0b9727a13",
+        Params(3, 3): "2b090007dbf578404a0157bd41ce5fab"
+                      "dc00a583c47af77cd168187c6494213a",
+        Params(3, 4): "91656983040c680d1784ec94df8eba2e"
+                      "a6cdc1637254323ddc0cefb55dfb503c",
+    }
+
+    @pytest.mark.parametrize("P", list(PUNCTURED_DIGESTS), ids=str)
+    def test_punctured_trace_bytes_pinned(self, P):
+        lines = []
+        for S in maximal_systems_containing([Euclid(0, 1, 0)], P):
+            for i in range(len(S)):
+                rest = S[:i] + S[i + 1:]
+                doc = certify_sms(rest, P)
+                # every step derives one vertex beyond the seeds
+                assert len(doc["trace"]) == doc["derived"] - len(rest)
+                lines += trace_json_lines(doc["trace"])
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PUNCTURED_DIGESTS[P]
+
     @pytest.mark.parametrize("trace", [
         [("ext", "x", "y")], [("rot-left", None, None)], [("ext",)], ["zz"],
         Trace([("ext",)], P33), Trace([("ext", "x", "y")], P33),
@@ -752,6 +780,17 @@ class TestTrace:
         still be a 3- or 4-field key."""
         with pytest.raises(DomainError, match="malformed trace step"):
             replay_trace(FLAGSHIP, trace, P33)
+
+    def test_trace_replayed_under_other_params_rejected(self):
+        # a Trace replays only under the Params it was recorded at; another
+        # pair is rejected by name before any step is read
+        P = Params(2, 3)
+        S = maximal_systems_containing([Euclid(0, 1, 0)], P)[0]
+        doc = certify_sms(S, P)
+        with pytest.raises(DomainError, match=r"^trace recorded at \(p,q\) "
+                           r"= \(2,3\), replayed at \(3,2\)$"):
+            replay_trace(S, doc["trace"], Params(3, 2))
+        assert len(replay_trace(S, doc["trace"], P)) == doc["derived"]
 
     @pytest.mark.parametrize("tamper,message", [
         ("dropped", "trace premise .* not established"),

@@ -533,6 +533,52 @@ class TestBandTable:
                 else:
                     assert not band.known[j] >> i & 1
 
+    @pytest.mark.parametrize("p,q", [(2, 2), (2, 5), (3, 4), (5, 5)])
+    def test_default_parts_are_every_part(self, p, q):
+        # parts=None is not validated and masks every candidate; it must
+        # answer as PART_NAMES does, on a cold table and on a warm one
+        P = Params(p, q)
+        seeds = _random_seeds(random.Random(3000 * p + q), P)
+        seeds += [[Euclid(c, x, y)] for c in (0, 1) for x in range(p)
+                  for y in range(q)]
+        answers = {}
+        for parts in (None, PART_NAMES):
+            homs._band.cache_clear()
+            for phase in ("cold", "warm"):
+                answers[parts, phase] = [
+                    (witness_pool(S, P, parts), maximality(S, P, parts))
+                    for S in seeds]
+        want = answers[PART_NAMES, "cold"]
+        assert all(got == want for got in answers.values())
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (3, 4)])
+    def test_warm_rows_make_no_hom_call(self, p, q, monkeypatch):
+        # orthogonal seeds lie in their anchor's band: once one query with
+        # every part (and the member pairs, which maximality reads on an
+        # empty pool) has filled a seed's rows, every query of that seed,
+        # with any parts, reads the table alone
+        P = Params(p, q)
+        seeds = _random_seeds(random.Random(4000 * p + q), P)[:4]
+        for S in maximal_systems_containing([Euclid(0, 1, 0)], P):
+            seeds += [S] + [S[:i] + S[i + 1:] for i in range(len(S))]
+        queries = [(S, parts) for S in seeds
+                   for parts in (None, PART_NAMES, ("e1",), ("u0", "p1"))]
+        homs._band.cache_clear()
+        cold = [(witness_pool(S, P, parts), maximality(S, P, parts))
+                for S, parts in queries]
+        homs._band.cache_clear()
+        for S in seeds:
+            witness_pool(S, P)
+            is_orthogonal_system(S, P)
+
+        def no_hom(*args):
+            raise AssertionError("Hom call on a warm band")
+
+        monkeypatch.setattr(homs, "stable_hom_nonzero", no_hom)
+        warm = [(witness_pool(S, P, parts), maximality(S, P, parts))
+                for S, parts in queries]
+        assert warm == cold
+
     def test_fresh_table_memory_is_linear(self):
         # a table decides pairs on demand, so before any query it holds no
         # mask: a fresh (60,60) band has 28,680 candidates and peaked at
