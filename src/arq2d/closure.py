@@ -12,10 +12,10 @@ box, the line of the other component that holds an Omega-shifted premise,
 or a list of tube-height masks.  The offsets of a class's lifts in the box
 are shared by every run on a box of the same shape.  `triangle_catalog`
 lists the triangles and serves as the reference.  Every derivation is
-traced on raw keys, and a `Trace` decodes its steps to triangles of vertices
-only when they are read.  `replay_trace` checks each step's premises and
-conclusion on canonical keys, canonicalizing a raw slot only when a check
-reads it.
+traced in one form, a `Trace`: the raw steps the engine records, with the
+`Params` they were recorded at.  `replay_trace` checks each step's premises
+and conclusion on canonical keys, canonicalizing a raw slot only when a
+check reads it, and `trace_json_lines` formats the steps as vertices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque, namedtuple
-from collections.abc import Sequence
 
 from .model import (
     DomainError,
@@ -90,13 +89,6 @@ class DistinguishedTriangle(Value, namedtuple("DistinguishedTriangle",
                 tuple(vertex_sort_key(m) for m in self.mids),
                 vertex_sort_key(self.c))
 
-    def to_json(self) -> dict:
-        return {
-            "a": format_vertex(self.a),
-            "mids": [format_vertex(m) for m in self.mids],
-            "c": format_vertex(self.c),
-        }
-
 
 def triangle_catalog(P: Params, window: Window):
     """Every catalog triangle whose three slots all lie in the window.
@@ -156,46 +148,19 @@ def triangle_catalog(P: Params, window: Window):
     return sorted(tris.values(), key=DistinguishedTriangle.sort_key)
 
 
-class Trace(Sequence):
-    """The derivation steps of one closure run, kept as the engine records
-    them: (rule, (family, a, mids, c), produced), with raw slot keys and the
-    canonical key of the produced vertex.  Indexing and iteration decode a
-    step to (rule, DistinguishedTriangle, produced) of canonical vertices; a
-    slice is a tuple of decoded steps, and a trace equals a tuple (or a
-    trace) with the same decoded steps.  `replay_trace` reads the raw steps
-    without decoding them."""
+class Trace(tuple):
+    """The derivation steps of one closure run, as the engine records them:
+    (rule, (family, a, mids, c), produced), with raw slot keys and the
+    canonical key of the produced vertex.  `P` is the Params of the run.
+    Equality and hashing are those of the tuple of steps."""
 
-    __slots__ = ("steps", "P")
+    def __new__(cls, steps, P: Params):
+        self = super().__new__(cls, steps)
+        self.P = P
+        return self
 
-    def __init__(self, steps, P: Params):
-        self.steps, self.P = steps, P
-
-    def _decode(self, step):
-        rule, (family, a, mids, c), produced = step
-        P = self.P
-        return (rule, DistinguishedTriangle(
-            vertex(canonical_key(a, P)),
-            tuple(vertex(canonical_key(m, P)) for m in mids),
-            vertex(canonical_key(c, P)), family), vertex(produced))
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._decode, self.steps[i]))
-        return self._decode(self.steps[i])
-
-    def __iter__(self):
-        return map(self._decode, self.steps)
-
-    def __eq__(self, other):
-        if isinstance(other, (Trace, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
+    def __getnewargs__(self):
+        return tuple(self), self.P
 
 
 class ClosureState(Value, namedtuple("ClosureState", "in_f trace window")):
@@ -212,13 +177,17 @@ def closure(S, P: Params, window: Window | None = None) -> ClosureState:
     `triangle_catalog` lists, so it reaches the same least fixpoint.
     """
     run = _closure(canonical_set(S, P), P, window)
-    return ClosureState(frozenset(map(vertex, run.have)), run.trace, run.w)
+    return ClosureState(frozenset(map(vertex, run.have)),
+                        Trace(run.steps, P), run.w)
 
 
 def _closure(seeds, P: Params, window: Window | None) -> _Fixpoint:
     """The drained engine of a canonical list."""
     if window is None:
         window = default_window(seeds, P)
+    elif window.P != P:
+        raise DomainError("window built at (p,q) = (%d,%d), closure at "
+                          "(%d,%d)" % (*window.P, *P))
     for v in seeds:
         for u in (v, omega(v, P), omega_inv(v, P)):
             if not window.contains(u):
@@ -292,11 +261,11 @@ class _Fixpoint:
     one over, which holds an Omega-shifted box cell unless it leaves the
     box.  The walks along a diagonal need no test.  `lifts` reads a class's
     in-box lifts off `offsets`, the table of the box's shape that every run
-    on such a box shares and fills.  Each vertex a rule
-    produces appends (rule, raw triangle, canonical key) to the steps of
-    `trace`, which decodes them on access.  `left` counts the window
-    vertices not yet derived: every target a join names is one, so `drain`
-    stops when it reaches 0.
+    on such a box shares and fills.  Each vertex a rule produces appends
+    (rule, raw triangle, canonical key) to `steps`, which the caller wraps
+    in a `Trace` once the run ends.  `left` counts the window vertices not
+    yet derived: every target a join names is one, so `drain` stops when it
+    reaches 0.
     """
 
     def __init__(self, P: Params, window: Window):
@@ -312,7 +281,7 @@ class _Fixpoint:
         self.tubes, self.diags = ({f: ([0] * P.rank(f), [0] * P.rank(f))
                                    for f in "PU"} for _ in range(2))
         self.offsets = _lift_table(P, width, height)
-        self.trace = Trace([], P)
+        self.steps: list = []
         self.queue: deque = deque()
         # a shift class has one lift whose next lift (x - p, y + q) leaves
         # the box; each tube family has rank * (cap + 1) vertices per level
@@ -366,7 +335,7 @@ class _Fixpoint:
         # a cell of its walk, and no two lifts share a line
         target = canonical_key(target, self.P)
         self.add(target)
-        self.trace.steps.append((rule, tri, target))
+        self.steps.append((rule, tri, target))
 
     def fire(self, f, l, j, k) -> None:
         """Each rule of the T-mesh-T from (f, l, j, k) that can add a
@@ -529,25 +498,26 @@ class _Fixpoint:
 
 
 def replay_trace(S, trace, P: Params) -> frozenset:
-    """Re-run a trace, checking every premise and that each step produces
-    its rule's conclusion; returns the final set.  A `Trace` replays from
-    its raw steps, and a slot is canonicalized only when a check reads it:
-    an `ext` mid after the produced one is checked to be a 3- or 4-field
-    key and no further.  The slots of any other sequence of steps are taken
-    as given, so a non-canonical one is rejected."""
-    if isinstance(trace, Trace):
-        if trace.P != P:
-            raise DomainError("trace recorded at (p,q) = (%d,%d), replayed "
-                              "at (%d,%d)" % (*trace.P, *P))
-        steps, ck = trace.steps, canonical_key
-    else:
-        steps, ck = map(_step_keys, trace), _as_given
-    cur = {canonical_key(key(v), P) for v in S}
-    for step in steps:
+    """Re-run a `Trace` recorded at P, checking every premise and that each
+    step produces its rule's conclusion; returns the final set.  A slot is
+    canonicalized only when a check reads it: an `ext` mid after the
+    produced one is checked to be a 3- or 4-field key and no further."""
+    if not isinstance(P, Params):
+        raise DomainError("P is not a Params: %r" % (P,))
+    if not isinstance(trace, Trace):
+        raise DomainError("trace is not a Trace: %r" % (trace,))
+    if trace.P != P:
+        raise DomainError("trace recorded at (p,q) = (%d,%d), replayed "
+                          "at (%d,%d)" % (*trace.P, *P))
+    cur = set()
+    for v in S:
+        if not isinstance(v, (Euclid, Tube)):
+            raise DomainError("member %r is not a vertex" % (v,))
+        cur.add(canonical_key(key(v), P))
+    for step in trace:
         try:
             rule, (_, a, mids, c), produced = step
-            # the conclusions, the premises canonicalized by ck, and the
-            # Omega-shifted premise, which the key map makes canonical
+            # the conclusions, the premises, and the canonical shifted premise
             if rule == "ext":
                 conclusions, premises, shifted = mids, (a, c), None
             elif rule == "rot-right":
@@ -562,14 +532,14 @@ def replay_trace(S, trace, P: Params) -> frozenset:
             if not all(len(u) in (3, 4) for u in conclusions):
                 raise TypeError("a conclusion is not a key")
             for u in conclusions:
-                if ck(u, P) == produced:
+                if canonical_key(u, P) == produced:
                     break
             else:
                 raise DomainError("trace step produces %s, not a conclusion "
                                   "of %s" % (format_vertex(vertex(produced)),
                                              rule))
             for u in premises:
-                if (u := ck(u, P)) not in cur:
+                if (u := canonical_key(u, P)) not in cur:
                     break
             else:
                 u = shifted
@@ -582,30 +552,18 @@ def replay_trace(S, trace, P: Params) -> frozenset:
     return frozenset(map(vertex, cur))
 
 
-def _as_given(k, P):
-    """The ck of decoded steps: each slot is read as given."""
-    return k
-
-
-def _step_keys(step) -> tuple:
-    """A decoded trace step as a raw step: (rule, (family, a, mids, c),
-    produced) of raw keys."""
-    try:
-        rule, tri, produced = step
-        slots = (tri.a, *tri.mids, tri.c, produced)
-    except (TypeError, ValueError, AttributeError):
-        slots = None
-    if slots is None or not all(isinstance(v, (Euclid, Tube)) for v in slots):
-        raise DomainError("malformed trace step %r" % (step,))
-    return (rule, (tri.family, key(tri.a), tuple(map(key, tri.mids)),
-                   key(tri.c)), key(produced))
-
-
 def trace_json_lines(trace):
-    for rule, tri, produced in trace:
-        yield json.dumps({"rule": rule, "triangle": tri.to_json(),
-                          "produced": format_vertex(produced)},
-                         sort_keys=True)
+    """One JSON line per step of a `Trace`, each slot named by its
+    canonical vertex."""
+    P = trace.P
+
+    def name(k):
+        return format_vertex(vertex(canonical_key(k, P)))
+
+    for rule, (_, a, mids, c), produced in trace:
+        tri = {"a": name(a), "mids": list(map(name, mids)), "c": name(c)}
+        yield json.dumps({"rule": rule, "triangle": tri,
+                          "produced": name(produced)}, sort_keys=True)
 
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:
@@ -624,7 +582,7 @@ def certify_sms(S, P: Params, window: Window | None = None) -> dict:
         "targets": targets,
         "members": [format_vertex(v) for v in vs],
         "derived": len(run.have),
-        "trace": run.trace,
+        "trace": Trace(run.steps, P),
         "window": run.w,
     }
 

@@ -59,6 +59,8 @@ class Params(Value, namedtuple("Params", "p q")):
     __slots__ = ()
 
     def __new__(cls, p, q):
+        if type(p) is not int or type(q) is not int:
+            raise DomainError("component parameters must be integers")
         if p < 1 or q < 1:
             raise DomainError("component parameters must be positive")
         return tuple.__new__(cls, (p, q))

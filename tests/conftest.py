@@ -50,6 +50,15 @@ def sigma_y(v):
     return v if v.family == "P" else Tube("U", v.level, v.idx + 1, v.ht)
 
 
+def transpose(v):
+    """The transpose T from (p,q) to (q,p): E(c,x,y) -> E(c,y,x), and
+    TU(l,j,k) <-> TP(l,j,k).  (p,q) and (q,p) are one algebra with its
+    axes swapped, so every answer commutes with T."""
+    if isinstance(v, Euclid):
+        return Euclid(v.comp, v.y, v.x)
+    return Tube("P" if v.family == "U" else "U", v.level, v.idx, v.ht)
+
+
 SQUARE_DOC = {
     "vertices": [{"id": v, "multiplicity": 1} for v in "abcd"],
     "edges": [{"id": "1", "ends": ["a", "b"]},

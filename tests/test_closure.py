@@ -1,14 +1,16 @@
 """Triangle catalog, extension-closure fixpoint, certification, parameters."""
 
+import copy
 import functools
 import hashlib
 import json
+import pickle
 import random
 import time
 
 import pytest
 
-from conftest import sigma_x, sigma_y
+from conftest import sigma_x, sigma_y, transpose
 from arq2d import model
 from arq2d.closure import (
     DistinguishedTriangle,
@@ -169,6 +171,15 @@ class TestClosureEngine:
         w = Window(P33, 0, 1, 0, 1, 1)
         with pytest.raises(WindowTooSmall):
             closure(FLAGSHIP, P33, w)
+
+    @pytest.mark.parametrize("run", [closure, certify_sms],
+                             ids=lambda f: f.__name__)
+    def test_window_of_other_params_rejected(self, run):
+        P = Params(2, 3)
+        S = maximal_systems_containing([Euclid(0, 1, 0)], P)[0]
+        with pytest.raises(DomainError, match=r"^window built at \(p,q\) = "
+                           r"\(3,3\), closure at \(2,3\)$"):
+            run(S, P, default_window(S, P33))
 
     def test_single_tube_seed_is_inert(self):
         state = closure([Tube("U", 0, 0, 0)],
@@ -471,7 +482,7 @@ class TestMaskInvariant:
         in_f = frozenset(map(model.vertex, run.have))
         assert a in in_f
         assert in_f == naive_closure([omega_c, mid], P, w)
-        assert replay_trace([omega_c, mid], run.trace, P) == in_f
+        assert replay_trace([omega_c, mid], Trace(run.steps, P), P) == in_f
         assert_matches_reference([omega_c, mid], P, w)
 
 
@@ -607,6 +618,40 @@ class TestEquivariance:
                     == certify_sms(s, P)["certified"]), s
 
 
+class TestTransposeEquivariance:
+    """The transpose T from (p,q) to (q,p) maps the 14 maximal (2,3)
+    systems through E(0,1,0) onto the maximal (3,2) systems through its
+    image, keeps the certify_sms verdict, and maps the closure's derived
+    set onto the closure of the image on the transposed window; the same
+    holds for each punctured variant, whose closure stops short of the
+    window.  T swaps the x and y axes, so it checks the engine's x-axis
+    paths against its y-axis ones."""
+
+    BUDGET_S = 10  # about 0.4 s on a 2-core VM
+
+    def test_certify_and_closure_commute(self):
+        start = time.perf_counter()
+        P, PT = Params(2, 3), Params(3, 2)
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        assert len(systems) == 14
+        images = maximal_systems_containing([transpose(Euclid(0, 1, 0))], PT)
+        assert {frozenset(canonical(transpose(v), PT) for v in s)
+                for s in systems} == set(map(frozenset, images))
+        for s in systems:
+            for S in [s] + [s[:i] + s[i + 1:] for i in range(len(s))]:
+                doc = certify_sms(S, P)
+                w = doc["window"]
+                wt = Window(PT, w.y_lo, w.y_hi, w.x_lo, w.x_hi, w.tube_ht_cap)
+                T = [transpose(v) for v in S]
+                got = certify_sms(T, PT, wt)
+                assert got["certified"] == doc["certified"], S
+                assert got["derived"] == doc["derived"], S
+                assert closure(T, PT, wt).in_f == {
+                    canonical(transpose(v), PT)
+                    for v in closure(S, P, w).in_f}, S
+        assert time.perf_counter() - start < self.BUDGET_S
+
+
 class TestShiftEquivariance:
     """Certification commutes with the shift sigma_x: sigma_x S has the same
     verdict and `derived` as S, and its in_f is the canonical sigma_x-image
@@ -670,16 +715,17 @@ class TestTrace:
         assert final == flagship_state.in_f
 
     def test_tampered_trace_rejected(self, flagship_state):
-        trace = list(flagship_state.trace)
+        trace = flagship_state.trace
         assert len(trace) > 2
-        # drop the first derivation; later steps lose a premise
-        with pytest.raises(DomainError):
-            replay_trace(FLAGSHIP, trace[1:] + trace[:1], P33)
+        # move the first derivation last; later steps lose a premise
+        with pytest.raises(DomainError,
+                           match="trace premise .* not established"):
+            replay_trace(FLAGSHIP, Trace(trace[1:] + trace[:1], P33), P33)
 
     def test_unknown_rule_rejected(self, flagship_state):
         rule, tri, prod = flagship_state.trace[0]
-        with pytest.raises(DomainError):
-            replay_trace(FLAGSHIP, [("shear", tri, prod)], P33)
+        with pytest.raises(DomainError, match="unknown trace rule 'shear'"):
+            replay_trace(FLAGSHIP, Trace([("shear", tri, prod)], P33), P33)
 
     @pytest.mark.parametrize("seeds,rule,produced", [
         # replayed before the conclusion check: TU(0,0,5) is not a slot of
@@ -693,10 +739,13 @@ class TestTrace:
         trace = closure(seeds, P33).trace
         n = next(i for i, step in enumerate(trace) if step[0] == rule)
         tri = trace[n][1]
-        if isinstance(produced, str):
-            produced = getattr(tri, produced)
+        # a produced key is canonical; tri holds (family, a, mids, c)
+        produced = model.canonical_key(
+            tri[{"a": 1, "c": 3}[produced]] if isinstance(produced, str)
+            else model.key(produced), P33)
+        step = (rule, tri, produced)
         with pytest.raises(DomainError, match="not a conclusion of " + rule):
-            replay_trace(seeds, trace[:n] + ((rule, tri, produced),), P33)
+            replay_trace(seeds, Trace(trace[:n] + (step,), P33), P33)
 
     # sha256 of the joined `trace_json_lines` of each case, recorded before
     # the joins read their premises off the bitmasks; like CERTIFIED_DERIVED
@@ -762,24 +811,39 @@ class TestTrace:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PUNCTURED_DIGESTS[P]
 
-    @pytest.mark.parametrize("trace", [
-        [("ext", "x", "y")], [("rot-left", None, None)], [("ext",)], ["zz"],
-        Trace([("ext",)], P33), Trace([("ext", "x", "y")], P33),
-        Trace([("rot-left", ("T-mesh-E", None, (), None), None)], P33),
-        Trace([("ext", ("T-mesh-E", (0, 1, 0), ((0, 1, 1),), (0, 2, 2)),
-                ())], P33),
-    ] + [Trace([("ext", ("T-mesh-E", (0, 1, 0), ((0, 1, 4), mid), (0, -1, 2)),
-                 (0, 4, 1))], P33) for mid in ("zz", None, (0, 1))],
-        ids=["strings", "nones", "short-step", "string-step", "raw-short-step",
-             "raw-strings", "raw-nones", "raw-empty-produced",
-             "raw-unread-mid-string", "raw-unread-mid-none",
-             "raw-unread-mid-short"])
-    def test_malformed_step_rejected(self, trace):
-        """The raw-unread-mid cases are ext steps whose first mid is the one
-        produced, from two seeds, so no check reads the second mid; it must
-        still be a 3- or 4-field key."""
-        with pytest.raises(DomainError, match="malformed trace step"):
-            replay_trace(FLAGSHIP, trace, P33)
+    # one step each; the raw-unread-mid steps are ext steps whose first mid
+    # is the one produced, from two seeds, so no check reads the second mid
+    MALFORMED = [
+        ("ext", "x", "y"), ("rot-left", None, None), ("ext",), "zz",
+        ("ext", ("T-mesh-E", (0, 1, 0)), (0, 1, 1)),
+        ("ext", ("T-mesh-E", "x", ("y",), "z"), "w"),
+        ("rot-left", ("T-mesh-E", None, (), None), None),
+        ("ext", ("T-mesh-E", (0, 1, 0), ((0, 1, 1),), (0, 2, 2)), ()),
+    ] + [("ext", ("T-mesh-E", (0, 1, 0), ((0, 1, 4), mid), (0, -1, 2)),
+          (0, 4, 1)) for mid in ("zz", None, (0, 1))]
+
+    @pytest.mark.parametrize("S,trace,P,message", [
+        (FLAGSHIP, Trace([step], P33), P33, "^malformed trace step")
+        for step in MALFORMED
+    ] + [
+        (FLAGSHIP + ("E(0,1,0)",), Trace((), P33), P33,
+         r"^member 'E\(0,1,0\)' is not a vertex$"),
+        ((None,), Trace((), P33), P33, "^member None is not a vertex$"),
+        (FLAGSHIP, None, P33, "^trace is not a Trace: None$"),
+        (FLAGSHIP, 5, P33, "^trace is not a Trace: 5$"),
+        (FLAGSHIP, [], P33, r"^trace is not a Trace: \[\]$"),
+        (FLAGSHIP, Trace((), P33), (3, 3),
+         r"^P is not a Params: \(3, 3\)$"),
+    ], ids=["strings", "nones", "short-step", "string-step", "raw-short-step",
+            "raw-strings", "raw-nones", "raw-empty-produced",
+            "raw-unread-mid-string", "raw-unread-mid-none",
+            "raw-unread-mid-short", "member-string", "member-none",
+            "trace-none", "trace-int", "trace-list", "params-tuple"])
+    def test_malformed_step_rejected(self, S, trace, P, message):
+        """Each malformed step is a DomainError, and so is each argument of
+        the wrong kind.  An unread mid must still be a 3- or 4-field key."""
+        with pytest.raises(DomainError, match=message):
+            replay_trace(S, trace, P)
 
     def test_trace_replayed_under_other_params_rejected(self):
         # a Trace replays only under the Params it was recorded at; another
@@ -800,23 +864,23 @@ class TestTrace:
         ("produced-out-of-domain", "component index must be 0 or 1"),
     ])
     def test_raw_trace_tampered(self, flagship_state, tamper, message):
-        """The tampers of the decoded tests above, made to a `Trace`'s raw
-        steps: the first step dropped, an unknown rule, a rot-right
-        producing its a, and a rot-right with a slot off components 0 and 1,
-        as a mid premise or as the c it produces."""
-        steps = flagship_state.trace.steps
+        """The first step dropped, an unknown rule, a rot-right producing
+        its a, and a rot-right with a slot off components 0 and 1, as a mid
+        premise or as the c it produces."""
+        steps = flagship_state.trace
         n = next(i for i, step in enumerate(steps) if step[0] == "rot-right")
         rule, (family, a, mids, c), produced = steps[n]
         off = (2,) + c[1:]
         tampered = {
             "dropped": steps[1:],
             "rule": [("shear",) + steps[0][1:]],
-            "produced": steps[:n] + [(rule, (family, a, mids, c),
-                                      model.canonical_key(a, P33))],
-            "premise-out-of-domain": steps[:n] + [
-                (rule, (family, a, (off,) + mids[1:], c), produced)],
-            "produced-out-of-domain": steps[:n] + [
-                (rule, (family, a, mids, off), model.canonical_key(off, P33))],
+            "produced": steps[:n] + ((rule, (family, a, mids, c),
+                                      model.canonical_key(a, P33)),),
+            "premise-out-of-domain": steps[:n] + (
+                (rule, (family, a, (off,) + mids[1:], c), produced),),
+            "produced-out-of-domain": steps[:n] + (
+                (rule, (family, a, mids, off),
+                 model.canonical_key(off, P33)),),
         }[tamper]
         assert replay_trace(FLAGSHIP, Trace(steps[:n + 1], P33), P33)
         with pytest.raises(DomainError, match=message):
@@ -825,9 +889,9 @@ class TestTrace:
     @pytest.mark.parametrize("slot", ["premise", "produced"])
     def test_raw_trace_unknown_family(self, flagship_state, slot):
         """A hand-built `Trace` whose rot-right has a tube slot of family
-        "X", as a mid premise or as the c it produces: replaying or
-        decoding the step raises Tube's error."""
-        steps = flagship_state.trace.steps
+        "X", as a mid premise or as the c it produces: replaying the step
+        raises Tube's error."""
+        steps = flagship_state.trace
         n = next(i for i, step in enumerate(steps) if step[0] == "rot-right")
         rule, (family, a, mids, c), produced = steps[n]
         off = ("X", 0, 5, 0)
@@ -835,55 +899,36 @@ class TestTrace:
             "premise": (rule, (family, a, (off,) + mids[1:], c), produced),
             "produced": (rule, (family, a, mids, off), ("X", 0, 2, 0)),
         }[slot]
-        trace = Trace(steps[:n] + [step], P33)
         with pytest.raises(DomainError, match="tube family must be"):
-            replay_trace(FLAGSHIP, trace, P33)
-        with pytest.raises(DomainError, match="tube family must be"):
-            trace[n]
+            replay_trace(FLAGSHIP, Trace(steps[:n] + (step,), P33), P33)
 
-    def test_trace_decodes_as_a_tuple(self, flagship_state):
+    def test_trace_is_a_tuple_of_raw_steps(self, flagship_state):
+        """A trace compares and hashes as the tuple of its steps, carries
+        the Params it was recorded at, and survives a copy and a pickle."""
         trace = flagship_state.trace
         steps = tuple(trace)
         assert isinstance(trace, Trace) and len(trace) == len(steps) > 7
-        assert (trace[0], trace[-1]) == (steps[0], steps[-1])
-        assert trace[3:7] == steps[3:7] and type(trace[3:7]) is tuple
         assert trace == steps and steps == trace and hash(trace) == hash(steps)
+        assert trace == Trace(steps, Params(2, 3)) and Trace((), P33) == ()
         assert trace != steps[:-1] and trace != list(steps)
-        for rule, tri, produced in trace:
-            assert isinstance(tri, DistinguishedTriangle)
-            assert all(v == canonical(v, P33)
-                       for v in (tri.a, *tri.mids, tri.c, produced))
+        assert trace.P == P33
+        for twin in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+            assert type(twin) is Trace and twin == trace and twin.P == P33
+        for rule, (family, a, mids, c), produced in trace:
+            assert produced == model.canonical_key(produced, P33)
+            assert produced in {model.canonical_key(u, P33)
+                                for u in (a, *mids, c)}
 
-    def test_raw_and_decoded_replay_agree(self):
-        """Every maximal (2,3) system through E(0,1,0) and each punctured
-        variant."""
-        P = Params(2, 3)
-        for s in maximal_systems_containing([Euclid(0, 1, 0)], P):
-            for S in [s] + [s[:i] + s[i + 1:] for i in range(len(s))]:
-                trace = closure(S, P).trace
-                assert replay_trace(S, tuple(trace), P) == replay_trace(
-                    S, trace, P), S
-
-    @pytest.mark.parametrize("slot", ["produced", "premise"])
-    def test_non_canonical_lift_rejected(self, flagship_state, slot):
-        """A decoded step is taken as given: its produced vertex, or a mid
-        premise of a rot-right, moved to another lift of its class fails
-        the replay."""
+    def test_non_canonical_lift_rejected(self, flagship_state):
+        """A step whose produced key is another lift of the produced class
+        fails the replay: produced keys are canonical."""
         trace = flagship_state.trace
         n = next(i for i, step in enumerate(trace) if step[0] == "rot-right")
-        rule, tri, produced = trace[n]
-
-        def lift(v):
-            return v._replace(x=v.x - 3, y=v.y + 3)
-
-        if slot == "produced":
-            step = (rule, tri, lift(produced))
-        else:
-            mids = (lift(tri.mids[0]),) + tri.mids[1:]
-            step = (rule, tri._replace(mids=mids), produced)
-        assert replay_trace(FLAGSHIP, trace[:n] + (trace[n],), P33)
-        with pytest.raises(DomainError):
-            replay_trace(FLAGSHIP, trace[:n] + (step,), P33)
+        rule, tri, (comp, x, y) = trace[n]
+        step = (rule, tri, (comp, x - 3, y + 3))
+        assert replay_trace(FLAGSHIP, Trace(trace[:n + 1], P33), P33)
+        with pytest.raises(DomainError, match="not a conclusion of rot-right"):
+            replay_trace(FLAGSHIP, Trace(trace[:n] + (step,), P33), P33)
 
     def test_json_lines_shape(self, flagship_state):
         lines = list(trace_json_lines(flagship_state.trace))

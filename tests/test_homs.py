@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import param_vertex_pair, params_strategy, sigma_x, sigma_y
+from conftest import (
+    param_vertex_pair,
+    params_strategy,
+    sigma_x,
+    sigma_y,
+    transpose,
+)
 from arq2d import homs
 from arq2d.homs import (
     EMPTY,
@@ -138,6 +144,33 @@ class TestEquivariance:
         P, v, w = pvw
         assert stable_hom_nonzero(v, w, P) == \
             stable_hom_nonzero(canonical(v, P), canonical(w, P), P)
+
+
+class TestTranspose:
+    """The transpose T takes the quiver at (p,q) to the one at (q,p), so it
+    preserves the Hom predicate."""
+
+    @given(param_vertex_pair())
+    def test_hom_predicate_commutes(self, pvw):
+        # the pairs cover (p,q) up to (5,5) and include non-bricks
+        P, v, w = pvw
+        assert stable_hom_nonzero(transpose(v), transpose(w),
+                                  Params(P.q, P.p)) == \
+            stable_hom_nonzero(v, w, P)
+
+    def test_hom_predicate_commutes_on_a_grid(self):
+        """Every ordered pair of a grid at (2,3): Euclidean vertices with
+        |x|, |y| <= 3 and tubes with |idx| <= 3 up to height 4."""
+        P, PT = Params(2, 3), Params(3, 2)
+        grid = [Euclid(c, x, y) for c in (0, 1) for x in range(-3, 4)
+                for y in range(-3, 4)] + [
+            Tube(f, l, j, h) for f in "UP" for l in (0, 1)
+            for j in range(-3, 4) for h in range(5)]
+        pairs = [(v, transpose(v)) for v in grid]
+        for v, tv in pairs:
+            for w, tw in pairs:
+                assert stable_hom_nonzero(tv, tw, PT) == \
+                    stable_hom_nonzero(v, w, P), (v, w)
 
 
 class TestShiftSymmetry:

@@ -172,6 +172,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             Params(2, -1)
 
+    @pytest.mark.parametrize("p,q", [("2", 3), (2.0, 3), (2, 3.0), (True, 3),
+                                     (2, None)], ids=str)
+    def test_params_are_integers(self, p, q):
+        with pytest.raises(DomainError) as info:
+            Params(p, q)
+        assert str(info.value) == "component parameters must be integers"
+
     def test_vertex_fields(self):
         with pytest.raises(DomainError):
             Euclid(2, 0, 0)
@@ -373,11 +380,12 @@ SRC = pathlib.Path(arq2d.__file__).parent
 
 def _package_imports(path):
     """(module, names) for each import of an arq2d module in one file;
-    `from . import m` is reported as (m, set())."""
+    `from . import m` is reported as (m, set()), and `import arq2d` as
+    ("", set())."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("arq2d."):
+                if alias.name == "arq2d" or alias.name.startswith("arq2d."):
                     yield alias.name[len("arq2d."):], set()
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
@@ -394,10 +402,12 @@ def _package_imports(path):
 
 class TestImportBoundary:
     def test_oracle_trusts_only_the_model_and_the_predicate(self):
+        # the oracle is the independent check: of the package it takes the
+        # model and the Hom predicate by name, and no fast path
         for module, names in _package_imports(SRC / "oracle.py"):
-            assert module in ("model", "homs"), module
-            if module == "homs":
-                assert names <= {"part_of", "stable_hom_nonzero"}, names
+            assert module == "model" or (
+                module == "homs" and names == {"stable_hom_nonzero"}), (
+                    module, names)
 
     def test_homs_imports_only_the_model(self):
         # the band tables live in homs, and ortho reads them from there
