@@ -30,9 +30,9 @@ from .model import (
 # render prints about 4 MB (the work grows like the square of the window)
 MAX_WINDOW = 16
 # the largest --p and --q: certify-sms on the one-member set E(0,1,0) takes
-# about 2 s and 0.5 GB at p = q = 100, and 8 s and 2.4 GB at 150 (its
-# orthogonality table grows like (pq)^2); on a maximal system it takes 88 s
-# and 1.5 GB at p = q = 100, where the closure dominates.
+# about 0.4 s and 30 MB at p = q = 100, where its one table row is an int of
+# about 8pq bits built from O(p+q) int operations.  On a maximal system the
+# closure dominates: 88 s and 1.5 GB at p = q = 100 when last measured.
 # render and biperp walk a box of 2Np x 2Nq points at --window N, so N*N*p*q
 # is held to MAX_PQ**2: no box is larger than the largest one at N = 1
 MAX_PQ = 100

@@ -185,6 +185,8 @@ def _closure(seeds, P: Params, window: Window | None) -> _Fixpoint:
     """The drained engine of a canonical list."""
     if window is None:
         window = default_window(seeds, P)
+    elif not isinstance(window, Window):
+        raise DomainError("window is not a Window: %r" % (window,))
     elif window.P != P:
         raise DomainError("window built at (p,q) = (%d,%d), closure at "
                           "(%d,%d)" % (*window.P, *P))

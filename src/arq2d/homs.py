@@ -16,13 +16,16 @@ orthogonality table per anchor band, keyed by (Params, ax) with ax the x
 of the set's first Euclidean member in vertex_sort_key order.  The band is
 every canonical Euclidean vertex with ax-p <= x <= ax+p on both components
 plus every brick-candidate tube vertex; it holds each brick candidate
-orthogonal to that member.  A table decides a pair only when a query first
-needs it and records the answer for both members of the pair, so a cold
-table makes no more Hom calls than a direct filter.  An LRU cache keeps the
-_BAND_TABLES (128) most recently used tables.  ortho answers every
-orthogonality question from these tables, so outside this module only the
-oracle calls the Hom predicate: it re-derives everything from it and never
-reads a table.
+orthogonal to that member.  A row of a table is an int mask of the
+candidates orthogonal to one vertex v: the band minus R(v) | L(v), the
+vertices with a nonzero Hom from or to v.  Each of R(v) and L(v) is a
+union of at most four cones, residue bands and runs of tube heights, the
+closed forms of stable_hom_nonzero, so a row costs O(p+q) int operations
+and no Hom call.  A table builds a row when a query first needs it and
+keeps it.  An LRU cache keeps the _BAND_TABLES (128) most recently used
+tables.  ortho answers every orthogonality question from these tables, so
+outside this module only the oracle calls the Hom predicate: it
+re-derives everything from it and never reads a table.
 """
 
 from __future__ import annotations
@@ -430,11 +433,6 @@ def lsupp(X: Vertex, P: Params) -> SupportReport:
 # ---------------------------------------------------------------------------
 # orthogonality tables per anchor band
 
-
-def _orthogonal_pair(a: Vertex, b: Vertex, P: Params) -> bool:
-    return not stable_hom_nonzero(a, b, P) and not stable_hom_nonzero(b, a, P)
-
-
 _BAND_TABLES = 128
 
 
@@ -442,43 +440,120 @@ class _Band:
     """Orthogonality table of one anchor band (see the module docstring).
 
     cand lists the band's brick candidates in vertex_sort_key order and bit
-    i of every mask stands for cand[i].  known[i] marks the pairs (i, j)
-    already decided and ortho[i] the orthogonal ones among them; both grow
-    on demand and stay symmetric.
+    i of every mask stands for cand[i]: E(c, ax-p+k, y) is bit
+    (c*(2p+1) + k)*q + y, and the tubes follow, P before U, level 0 before
+    level 1, then by index and height.  ortho[i] is cand[i]'s row, the bits
+    of the candidates orthogonal to it; it stays None until a query needs it.
     """
 
     def __init__(self, P: Params, ax: int):
+        p, q = P
         cand = [Euclid(comp, x, y) for comp in (0, 1)
-                for x in range(ax - P.p, ax + P.p + 1) for y in range(P.q)]
-        cand += [v for v in fundamental_domain(P) if isinstance(v, Tube)]
-        cand.sort(key=vertex_sort_key)
-        self.P = P
+                for x in range(ax - p, ax + p + 1) for y in range(q)]
+        self.P, self.lo, self.width = P, ax - p, len(cand) // 2
+        self.part_bits = {"e0": (1 << self.width) - 1}
+        self.part_bits["e1"] = self.part_bits["e0"] << self.width
+        self.tube_base = {}
+        for fam in ("P", "U"):
+            r = P.rank(fam)
+            for level in (0, 1):
+                self.tube_base[fam, level] = len(cand)
+                self.part_bits[fam.lower() + str(level)] = (
+                    (1 << r * (r - 1)) - 1) << len(cand)
+                cand += [Tube(fam, level, j, h)
+                         for j in range(r) for h in range(r - 1)]
         self.cand = cand
         self.index = {v: i for i, v in enumerate(cand)}
-        self.part_bits = dict.fromkeys(PART_NAMES, 0)
-        for i, v in enumerate(cand):
-            self.part_bits[part_of(v)] |= 1 << i
-        self.known = [0] * len(cand)
-        self.ortho = [0] * len(cand)
+        self.full = (1 << len(cand)) - 1
+        # bit k*q for each column k of comp 0: the candidates at y = 0
+        self.column = sum(1 << k * q for k in range(2 * p + 1))
+        self.ortho = [None] * len(cand)
 
     def row(self, i: int, mask: int) -> int:
-        """Decide every pair (i, j) with j in mask; return i's orthogonal bits."""
-        todo = mask & ~self.known[i]
-        if todo:
-            known, ortho, cand, bit = self.known, self.ortho, self.cand, 1 << i
-            v = cand[i]
-            # diagonal marked here: marked up front, n rows cost O(n^2) memory
-            todo &= ~bit
-            known[i] |= todo | bit
-            while todo:
-                low = todo & -todo
-                j = low.bit_length() - 1
-                known[j] |= bit
-                if _orthogonal_pair(cand[j], v, self.P):
-                    ortho[i] |= low
-                    ortho[j] |= bit
-                todo ^= low
-        return self.ortho[i]
+        """The bits of mask orthogonal to cand[i]."""
+        row = self.ortho[i]
+        if row is None:
+            row = self.ortho[i] = self.orthogonal(self.cand[i])
+        return row & mask
+
+    def orthogonal(self, v: Vertex) -> int:
+        """The candidates orthogonal to a canonical vertex v, in the band or
+        not: every candidate off R(v) | L(v), where R(v) holds the Y with
+        Hom(v, Y) != 0 and L(v) = omega^{-1} R(v) those with Hom(Y, v) != 0.
+        Each is the union of the closed forms of stable_hom_nonzero, written
+        for a source on comp 1 or level 1 through its syzygy."""
+        if isinstance(v, Euclid):
+            c, a, b = v
+            hom = (self._cone(c, a, b, True)
+                   | self._cone(1 - c, a + 1 - c, b + 1 - c, True)
+                   | self._cone(0, a - c, b - c, False)
+                   | self._cone(1, a, b, False))
+            for fam, i in (("U", b), ("P", a)):
+                r = self.P.rank(fam)
+                hom |= (self._tube(fam, 0, i - c, r, r)
+                        | self._tube(fam, 1, i, r, r))
+        else:
+            fam, l, c, d = v
+            r = self.P.rank(fam)
+            hom = (self._residues(fam, 0, c, d)
+                   | self._residues(fam, 1, c + 1 - l, d)
+                   | self._tube(fam, 0, c + d, d, r)
+                   | self._tube(fam, 1, c + 1 - l + d, d, r)
+                   | self._tube(fam, 0, c - l, r, d)
+                   | self._tube(fam, 1, c, r, d))
+        return self.full ^ hom
+
+    def _cone(self, comp: int, x0: int, y0: int, forward: bool) -> int:
+        """The forward cone, E(comp, x, y) with x >= x0 + p*ceil((y0-y)/q),
+        or the backward one, x <= x0 + p*floor((y0-y)/q).  Over 0 <= y < q
+        the bound takes one value below y0 mod q and one from it on (after
+        it, backward), so each of the two blocks of rows is the comp's
+        columns cut at the bound."""
+        p, q = self.P
+        m, s = divmod(y0, q)
+        n = 2 * p + 1
+        if forward:
+            blocks = ((0, s, x0 + p * (m + 1)), (s, q, x0 + p * m))
+        else:
+            blocks = ((0, s + 1, x0 + p * m), (s + 1, q, x0 + p * (m - 1)))
+        bits = 0
+        for y_lo, y_hi, x in blocks:
+            if forward:  # columns x - lo onwards
+                cut = min(max(x - self.lo, 0), n) * q
+                cols = self.column >> cut << cut
+            else:  # columns up to x - lo
+                cut = min(max(x - self.lo + 1, 0), n) * q
+                cols = self.column & ((1 << cut) - 1)
+            bits |= cols * ((1 << y_hi) - (1 << y_lo))
+        return bits << comp * self.width
+
+    def _residues(self, fam: str, comp: int, lo: int, d: int) -> int:
+        """E(comp, x, y) whose y (fam U) or x (fam P) is congruent to one of
+        lo..lo+d mod the family's rank."""
+        p, q = self.P
+        span = min(d, self.P.rank(fam) - 1)
+        if fam == "U":
+            bits = self.column * sum(1 << y % q
+                                     for y in range(lo, lo + span + 1))
+        else:
+            bits = ((1 << q) - 1) * sum(
+                1 << k * q for k in range(2 * p + 1)
+                if (self.lo + k - lo) % p <= span)
+        return bits << comp * self.width
+
+    def _tube(self, fam: str, level: int, top: int, most: int,
+              cap: int) -> int:
+        """T(fam, level, j, h) with t = (top - j) mod rank <= most and
+        t <= h <= t + cap: one run of heights per index j.  Heights stop at
+        rank - 2, so a most or cap of rank bounds nothing."""
+        r = self.P.rank(fam)
+        base = self.tube_base[fam, level]
+        bits = 0
+        for t in range(min(most, r - 2) + 1):
+            j = (top - t) % r
+            bits |= ((1 << min(cap, r - 2 - t) + 1) - 1) << (
+                base + j * (r - 1) + t)
+        return bits
 
 
 @functools.lru_cache(maxsize=_BAND_TABLES)
@@ -497,10 +572,9 @@ def _witnesses(vs, P: Params, parts):
     """(band, witness mask) of a canonical set; (None, 0) without a
     Euclidean member.
 
-    Members are applied in order and each decides only the candidates that
-    survived the members before it, the pairs a direct filter would test.
-    Each member's band index is read once and a warm row is read in place;
-    a member outside the band gets a row computed for this call only.
+    Members are applied in order until the mask is empty.  A member in the
+    band reads its row, computed on first need and kept; a member outside
+    it (off the band or not a brick) gets a row for this call only.
     """
     if parts is not None:  # None stands for every part
         parts = set(parts)
@@ -514,7 +588,7 @@ def _witnesses(vs, P: Params, parts):
     if anchor is None:
         return None, 0
     band = _band(P, anchor.x)
-    mask = ((1 << len(band.cand)) - 1 if parts is None
+    mask = (band.full if parts is None
             else sum(band.part_bits[name] for name in parts))
     rows = [band.index.get(v) for v in vs]
     for i in rows:
@@ -523,13 +597,8 @@ def _witnesses(vs, P: Params, parts):
     for v, i in zip(vs, rows):
         if not mask:
             break
-        if i is None:
-            mask = sum(1 << j for j in _bits(mask)
-                       if _orthogonal_pair(band.cand[j], v, P))
-        elif mask & ~band.known[i]:
-            mask &= band.row(i, mask)
-        else:
-            mask &= band.ortho[i]
+        mask = (band.row(i, mask) if i is not None
+                else mask & band.orthogonal(v))
     return band, mask
 
 
@@ -570,6 +639,10 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
     parts[other + "0"] = All(other + "0")
     parts[other + "1"] = All(other + "1")
     return SupportReport(P, parts, True)
+
+
+def _orthogonal_pair(a: Vertex, b: Vertex, P: Params) -> bool:
+    return not stable_hom_nonzero(a, b, P) and not stable_hom_nonzero(b, a, P)
 
 
 def _biperp_single(X: Vertex, P: Params) -> SupportReport:

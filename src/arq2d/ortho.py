@@ -54,8 +54,7 @@ def _orthogonal(vs, P: Params, band=None) -> bool:
     if None in bits:
         return False
     members = sum(1 << i for i in bits)
-    return all(band.row(i, members) & members == members ^ (1 << i)
-               for i in bits)
+    return all(band.row(i, members) == members ^ (1 << i) for i in bits)
 
 
 def euclidean_ortho_check(members, P: Params) -> bool:
@@ -199,10 +198,8 @@ def _maximal(band, pool: int, seed) -> list[list[Vertex]]:
     from the previous mask are the previous list's head, copied whole."""
     cand = band.cand
     adj = [0] * len(cand)
-    # highest bit first: on a cold table each pair is then decided as
-    # _orthogonal_pair(lower, higher), which fixes the cold Hom-call count
-    for i in sorted(_bits(pool), reverse=True):
-        adj[i] = band.row(i, pool) & pool
+    for i in _bits(pool):
+        adj[i] = band.row(i, pool)
     top = len(cand) - 1
     base = sum(1 << (top - i) for i in seed)
     systems, prev, vs = [], 0, []
@@ -279,7 +276,7 @@ def _extend(band, out, prefix, cand):
         cand ^= low
         prefix.append(band.cand[i])
         out.append(list(prefix))
-        _extend(band, out, prefix, cand & band.row(i, cand))
+        _extend(band, out, prefix, band.row(i, cand))
         prefix.pop()
 
 

@@ -1065,5 +1065,32 @@ class TestCanonicalBoundary:
                     (name, S)
         assert time.perf_counter() - t0 < 30.0
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: certify_sms([Euclid(0, 1, 0)], (2, 3)),
+         r"^P is not a Params: \(2, 3\)$"),
+        (lambda: closure([Euclid(0, 1, 0)], (2, 3)),
+         r"^P is not a Params: \(2, 3\)$"),
+        (lambda: maximality([Euclid(0, 1, 0)], (2, 3)),
+         r"^P is not a Params: \(2, 3\)$"),
+        (lambda: biperp([Euclid(0, 1, 0)], (2, 3)),
+         r"^P is not a Params: \(2, 3\)$"),
+        (lambda: extract_params(FLAGSHIP, (3, 3)),
+         r"^P is not a Params: \(3, 3\)$"),
+        (lambda: certify_sms(["E(0,1,0)"], Params(2, 3)),
+         r"^member 'E\(0,1,0\)' is not a vertex$"),
+        (lambda: witness_pool([Euclid(0, 1, 0), (0, 0, 1)], P33),
+         r"^member \(0, 0, 1\) is not a vertex$"),
+        (lambda: is_orthogonal_system([None], P33),
+         r"^member None is not a vertex$"),
+        (lambda: closure(FLAGSHIP, P33, (-3, 3, -3, 3, 2)),
+         r"^window is not a Window: \(-3, 3, -3, 3, 2\)$"),
+    ], ids=["certify-params", "closure-params", "maximality-params",
+            "biperp-params", "extract-params", "certify-string-member",
+            "witness-tuple-member", "orthogonal-none-member",
+            "closure-tuple-window"])
+    def test_wrong_kind_is_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
 
 FLAGSHIP_CANON = tuple(canonical(v, P33) for v in FLAGSHIP)

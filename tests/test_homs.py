@@ -50,7 +50,7 @@ from arq2d.model import (
     vertex_sort_key,
 )
 from arq2d.oracle import WindowSpec, brute_biperp, mutually_orthogonal
-from arq2d.ortho import maximal_systems_containing
+from arq2d.ortho import maximal_systems_containing, maximality, witness_pool
 
 
 def quasi_simples(P):
@@ -248,6 +248,95 @@ class TestQuasiSimpleCount:
                     # one hit per family, on opposite levels
                     assert {z.family for z in hits_out} == {"U", "P"}
                     assert {z.family for z in hits_in} == {"U", "P"}
+
+
+class TestBandRows:
+    """A band row lists the candidates orthogonal to one vertex, computed
+    from closed forms of the Hom predicate with no call to it."""
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_rows_match_oracle(self, p, q):
+        """Every row of three bands, and the rows of Euclidean vertices off
+        the band and of tall tubes, against the oracle over the band."""
+        P = Params(p, q)
+        for ax in (0, 1 - p, p + 2):
+            band = homs._Band(P, ax)
+            cand, n = band.cand, len(band.cand)
+            want = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if mutually_orthogonal(cand[i], cand[j], P):
+                        want[i] |= 1 << j
+                        want[j] |= 1 << i
+            assert [band.row(i, band.full) for i in range(n)] == want
+            assert band.ortho == want
+            away = [Euclid(c, ax + dx, y) for c in (0, 1)
+                    for dx in (-3 * p, -p - 1, p + 1, 2 * p + 1)
+                    for y in range(q)]
+            tall = [Tube(f, l, j, h) for f in "UP" for l in (0, 1)
+                    for j in range(P.rank(f))
+                    for h in range(P.rank(f) - 1, P.rank(f) + 2)]
+            for v in away + tall:
+                assert band.orthogonal(v) == sum(
+                    1 << j for j, w in enumerate(cand)
+                    if mutually_orthogonal(v, w, P)), v
+
+    def test_cold_maximality_makes_no_hom_call(self, monkeypatch):
+        def no_hom(*args):
+            raise AssertionError("Hom call from a band table")
+
+        monkeypatch.setattr(homs, "stable_hom_nonzero", no_hom)
+        homs._band.cache_clear()
+        P = Params(40, 40)
+        report = maximality([Euclid(0, 1, 0)], P)
+        band = homs._band(P, 1)
+        assert [band.cand[i] for i, row in enumerate(band.ortho)
+                if row is not None] == [Euclid(0, 1, 0)]
+        assert report.witnesses == tuple(
+            band.cand[i] for i in homs._bits(band.ortho[band.index[
+                Euclid(0, 1, 0)]]))
+        assert not report.is_maximal
+        homs._band.cache_clear()
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 2)])
+    def test_rows_commute_with_transpose(self, p, q):
+        """T maps the row of v at (p,q) onto the row of T(v) at (q,p), as
+        vertex sets on the candidates both bands hold.  A Euclidean v is
+        the anchor of its image's band, whose row is then complete."""
+        P, PT = Params(p, q), Params(q, p)
+        for ax in (0, 2):
+            band = homs._Band(P, ax)
+            image = [canonical(transpose(w), PT) for w in band.cand]
+            for i, v in enumerate(band.cand):
+                tv = image[i]
+                anchor = (tv if isinstance(tv, Euclid)
+                          else canonical(transpose(Euclid(0, ax, 0)), PT))
+                other = homs._band(PT, anchor.x)
+                row = {image[j] for j in homs._bits(band.row(i, band.full))}
+                rowT = {other.cand[j] for j in homs._bits(
+                    other.orthogonal(tv))}
+                assert rowT & set(image) == row & set(other.cand), v
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
+    def test_witness_queries_commute_with_transpose(self, p, q):
+        P, PT = Params(p, q), Params(q, p)
+
+        def T(S):
+            return [canonical(transpose(v), PT) for v in S]
+
+        seeds = []
+        for S in maximal_systems_containing([Euclid(0, 1, 0)], P):
+            seeds += [S] + [S[:i] + S[i + 1:] for i in range(len(S))]
+        homs._band.cache_clear()
+        for S in seeds:
+            pool = witness_pool(S, P)
+            assert sorted(T(pool), key=vertex_sort_key) == \
+                witness_pool(T(S), PT), S
+            report, image = maximality(S, P), maximality(T(S), PT)
+            assert image.is_maximal == report.is_maximal
+            assert set(image.witnesses) == set(T(report.witnesses))
+            assert image.homogeneous_blocked == report.homogeneous_blocked
 
 
 class TestRegionCoherence:
