@@ -80,10 +80,6 @@ def _emit(doc, args) -> str:
                       indent=2 if getattr(args, "pretty", False) else None)
 
 
-def _fmt_vertices(vs, P: Params) -> list[str]:
-    return [format_vertex(canonical(v, P)) for v in vs]
-
-
 def _cmd_classify(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
         doc = fh.read()
@@ -126,14 +122,9 @@ def _window_members(report, P: Params, periods: int) -> dict:
 
 def _cmd_supports(args) -> int:
     P = _params(args)
-    members = _load_set(args.set)
-    rows = []
-    for v in members:
-        rows.append({
-            "vertex": format_vertex(canonical(v, P)),
-            "rsupp": homs.rsupp(v, P).to_json(),
-            "lsupp": homs.lsupp(v, P).to_json(),
-        })
+    rows = [{"vertex": format_vertex(canonical(v, P)),
+             "rsupp": homs.rsupp(v, P).to_json(),
+             "lsupp": homs.lsupp(v, P).to_json()} for v in _load_set(args.set)]
     print(_emit(rows, args))
     return 0
 
@@ -144,7 +135,7 @@ def _cmd_biperp(args) -> int:
     periods = _periods(args)
     report = homs.biperp(members, P)
     doc = report.to_json()
-    doc["set"] = _fmt_vertices(members, P)
+    doc["set"] = [format_vertex(canonical(v, P)) for v in members]
     doc["windowMembers"] = _window_members(report, P, periods)
     print(_emit(doc, args))
     return 0

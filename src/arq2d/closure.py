@@ -44,7 +44,7 @@ from .model import (
     vertex,
     vertex_sort_key,
 )
-from .homs import _bits, _witnesses
+from .homs import _bits, _members, _witnesses
 from .ortho import NoEuclideanMember, _maximality, _orthogonal
 
 
@@ -511,11 +511,7 @@ def replay_trace(S, trace, P: Params) -> frozenset:
     if trace.P != P:
         raise DomainError("trace recorded at (p,q) = (%d,%d), replayed "
                           "at (%d,%d)" % (*trace.P, *P))
-    cur = set()
-    for v in S:
-        if not isinstance(v, (Euclid, Tube)):
-            raise DomainError("member %r is not a vertex" % (v,))
-        cur.add(canonical_key(key(v), P))
+    cur = set(map(key, canonical_set(S, P)))
     for step in trace:
         try:
             rule, (_, a, mids, c), produced = step
@@ -569,10 +565,11 @@ def trace_json_lines(trace):
 
 
 def certify_sms(S, P: Params, window: Window | None = None) -> dict:
-    vs = canonical_set(S, P)
-    if not _orthogonal(vs, P):
+    band, mem, off = _members(S, P)
+    if not _orthogonal(band, mem, off):
         raise DomainError("set is not an orthogonal system of bricks")
-    has_euclid = any(isinstance(v, Euclid) for v in vs)
+    vs = [band.cand[i] for i in _bits(mem)]
+    has_euclid = bool(mem & band.euclid)
     run = _closure(vs, P, window)
     targets = {format_vertex(v): omega_inv_key(key(v), P) in run.have
                for v in vs}
@@ -596,31 +593,32 @@ def extract_params(S, P: Params) -> dict:
     index t and rank-q gap index s are the unique values whose partner
     quasi-simple wings avoid S; the comp-1 member of the gap is the unique
     bi-perpendicular point of S-without-comp-1 inside the gap rectangle,
-    read off that set's comp-1 witness pool.  All three are reported in
-    absolute window coordinates.
-    """
-    vs = canonical_set(S, P)
-    if not any(isinstance(v, Euclid) for v in vs):
+    read off that set's comp-1 witness mask.  All three are read off the
+    bits of the member mask and reported in absolute window coordinates."""
+    band, mem, off = _members(S, P)
+    if not mem & band.euclid:
         raise NoEuclideanMember("parameter extraction needs a Euclidean part")
-    report = _maximality(vs, P)
+    report = _maximality(band, mem, off)
     if not report.is_maximal:
-        if not _orthogonal(vs, P):
+        if not _orthogonal(band, mem, off):
             raise DomainError("set is not an orthogonal system of bricks")
         raise NotMaximal("witnesses remain: %s" %
                          [format_vertex(w) for w in report.witnesses])
-    comp0 = sorted((v for v in vs if isinstance(v, Euclid) and v.comp == 0),
-                   key=lambda v: v.x)
+    comp0 = [band.cand[i] for i in _bits(mem & band.part_bits["e0"])]
     if not comp0:
         raise DomainError("maximal system with empty comp-0 part")
-    rest = [v for v in vs if not (isinstance(v, Euclid) and v.comp == 1)]
-    band, mask = _witnesses(rest, P, ("e1",))
-    comp1_witnesses = {key(band.cand[i]): band.cand[i] for i in _bits(mask)}
-    # the (level, residue) pairs each family's tube members cover: a member
-    # covers idx..idx+ht mod the rank on its level, as QuasiCone counts it
-    covered = {f: {(v.level, (v.idx + j) % P.rank(f)) for v in vs
-                   if isinstance(v, Tube) and v.family == f
-                   for j in range(v.ht + 1)} for f in "PU"}
+    # S without its comp-1 members has comp0[0] least, so the same band
+    e1 = band.part_bits["e1"]
+    comp1 = _witnesses(band, mem & ~e1, (), None) & e1
+    # bit l*rank + i of cover[f]: a tube member of family f on level l
+    # covers residue i, one of idx..idx+ht mod the rank, as QuasiCone does
+    cover = {"P": 0, "U": 0}
+    for f, l, j, h in map(band.cand.__getitem__, _bits(mem & ~band.euclid)):
+        rank = P.rank(f)
+        run = (2 << h) - 1 << j  # j..j+h, below 2*rank as h <= rank-2
+        cover[f] |= ((run | run >> rank) & (1 << rank) - 1) << l * rank
 
+    p, q = P
     t_list, s_list, predicted = [], [], []
     ell = len(comp0)
     for r in range(ell):
@@ -628,22 +626,25 @@ def extract_params(S, P: Params) -> dict:
         if r + 1 < ell:
             a_n, b_n = comp0[r + 1].x, comp0[r + 1].y
         else:
-            a_n, b_n = comp0[0].x + P.p, comp0[0].y - P.q
+            a_n, b_n = comp0[0].x + p, comp0[0].y - q
 
         for name, family, lo, hi, out in (("t", "P", a_r + 1, a_n, t_list),
                                           ("s", "U", b_n + 1, b_r, s_list)):
-            cover, rank = covered[family], P.rank(family)
+            bits, rank = cover[family], P.rank(family)
             found = [t for t in range(lo, hi + 1)
-                     if (0, (t - 1) % rank) not in cover
-                     and (1, t % rank) not in cover]
+                     if not bits >> (t - 1) % rank & 1
+                     and not bits >> rank + t % rank & 1]
             if len(found) != 1:
                 raise ParameterNotUnique("gap %d admits %s candidates %s"
                                          % (r, name, found))
             out.append(found[0])
 
-        box = [w for x in range(a_r + 1, a_n + 1)
+        # cell (1, x, y) is canonical (1, x + p*l, y % q) with l = y // q:
+        # band bit width + k*q + y % q, with k = x + p*l - lo in 0..2p
+        box = [band.cand[i] for x in range(a_r + 1, a_n + 1)
                for y in range(b_n + 1, b_r + 1)
-               if (w := comp1_witnesses.get(canonical_key((1, x, y), P)))]
+               if 0 <= (k := x + p * (y // q) - band.lo) <= 2 * p
+               and comp1 >> (i := band.width + k * q + y % q) & 1]
         if len(box) != 1:
             raise ParameterNotUnique(
                 "gap %d rectangle admits %s" %

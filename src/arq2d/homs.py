@@ -13,7 +13,7 @@ as its kind plus its fields, each *_lo/*_hi pair as one [lo, hi] list.
 
 A set with a Euclidean member has a finite bi-perp, read from one
 orthogonality table per anchor band, keyed by (Params, ax) with ax the x
-of the set's first Euclidean member in vertex_sort_key order.  The band is
+of the set's least Euclidean member in vertex_sort_key order.  The band is
 every canonical Euclidean vertex with ax-p <= x <= ax+p on both components
 plus every brick-candidate tube vertex; it holds each brick candidate
 orthogonal to that member.  A row of a table is an int mask of the
@@ -22,10 +22,10 @@ vertices with a nonzero Hom from or to v.  Each of R(v) and L(v) is a
 union of at most four cones, residue bands and runs of tube heights, the
 closed forms of stable_hom_nonzero, so a row costs O(p+q) int operations
 and no Hom call.  A table builds a row when a query first needs it and
-keeps it.  An LRU cache keeps the _BAND_TABLES (128) most recently used
-tables.  ortho answers every orthogonality question from these tables, so
-outside this module only the oracle calls the Hom predicate: it
-re-derives everything from it and never reads a table.
+keeps it; an LRU cache keeps the _BAND_TABLES (128) most recently used.
+A query reads its set once, into a member mask (_members): the band, the
+bits of the members it holds and a list of those it does not, and answers
+with row ANDs on that mask.  Only the oracle calls the Hom predicate.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .model import (
     canonical_set,
     ceil_div,
     format_vertex,
-    fundamental_domain,
     is_brick_candidate,
     omega,
     omega_inv,
@@ -442,15 +441,17 @@ class _Band:
     cand lists the band's brick candidates in vertex_sort_key order and bit
     i of every mask stands for cand[i]: E(c, ax-p+k, y) is bit
     (c*(2p+1) + k)*q + y, and the tubes follow, P before U, level 0 before
-    level 1, then by index and height.  ortho[i] is cand[i]'s row, the bits
-    of the candidates orthogonal to it; it stays None until a query needs it.
-    """
+    level 1, then by index and height, so euclid masks the Euclidean bits.
+    ortho[i] is cand[i]'s row, the bits of the candidates orthogonal to it;
+    it stays None until a query needs it.  A set's member mask ORs the bits
+    of its members, and its witnesses AND their rows."""
 
     def __init__(self, P: Params, ax: int):
         p, q = P
         cand = [Euclid(comp, x, y) for comp in (0, 1)
                 for x in range(ax - p, ax + p + 1) for y in range(q)]
         self.P, self.lo, self.width = P, ax - p, len(cand) // 2
+        self.euclid = (1 << len(cand)) - 1
         self.part_bits = {"e0": (1 << self.width) - 1}
         self.part_bits["e1"] = self.part_bits["e0"] << self.width
         self.tube_base = {}
@@ -568,15 +569,36 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _witnesses(vs, P: Params, parts):
-    """(band, witness mask) of a canonical set; (None, 0) without a
-    Euclidean member.
+def _members(S, P: Params):
+    """(band, mem, off) of a set, each member read and canonicalized once:
+    the band of the least Euclidean member (x = 0 without one), the mask of
+    the members in it, and those not in it (off the band or not bricks),
+    once each.  A P not a Params or a member not a vertex is a DomainError."""
+    if not isinstance(P, Params):
+        raise DomainError("P is not a Params: %r" % (P,))
+    vs, anchor = [], None
+    for v in S:
+        if not isinstance(v, (Euclid, Tube)):
+            raise DomainError("member %r is not a vertex" % (v,))
+        vs.append(v := canonical(v, P))
+        if len(v) == 3 and (anchor is None or v < anchor):
+            anchor = v
+    band = _band(P, 0 if anchor is None else anchor.x)
+    mem, off = 0, []
+    for v in vs:
+        i = band.index.get(v)
+        if i is not None:
+            mem |= 1 << i
+        elif v not in off:
+            off.append(v)
+    return band, mem, off
 
-    Members are applied in order until the mask is empty.  A member in the
-    band reads its row, computed on first need and kept; a member outside
-    it (off the band or not a brick) gets a row for this call only.
-    """
-    if parts is not None:  # None stands for every part
+
+def _witnesses(band, mem: int, off, parts) -> int:
+    """The candidates in parts (None for all) orthogonal to every member,
+    as a mask; 0 without a Euclidean member.  Member bits read their kept
+    rows; an off member gets a row for this call only."""
+    if parts is not None:
         parts = set(parts)
         unknown = sorted(parts - set(PART_NAMES))
         if unknown:
@@ -584,22 +606,18 @@ def _witnesses(vs, P: Params, parts):
                               % (", ".join(unknown), ", ".join(PART_NAMES)))
         if not parts:
             raise DomainError("parts must name at least one part")
-    anchor = next((v for v in vs if isinstance(v, Euclid)), None)
-    if anchor is None:
-        return None, 0
-    band = _band(P, anchor.x)
+    if not mem & band.euclid:
+        return 0
     mask = (band.full if parts is None
-            else sum(band.part_bits[name] for name in parts))
-    rows = [band.index.get(v) for v in vs]
-    for i in rows:
-        if i is not None:
-            mask &= ~(1 << i)
-    for v, i in zip(vs, rows):
-        if not mask:
-            break
-        mask = (band.row(i, mask) if i is not None
-                else mask & band.orthogonal(v))
-    return band, mask
+            else sum(band.part_bits[name] for name in parts)) & ~mem
+    rest = mem
+    while rest and mask:
+        low = rest & -rest
+        mask = band.row(low.bit_length() - 1, mask)
+        rest ^= low
+    for v in off:
+        mask &= band.orthogonal(v)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +659,11 @@ def _biperp_single_base(X: Vertex, P: Params) -> SupportReport:
     return SupportReport(P, parts, True)
 
 
-def _orthogonal_pair(a: Vertex, b: Vertex, P: Params) -> bool:
-    return not stable_hom_nonzero(a, b, P) and not stable_hom_nonzero(b, a, P)
+def _finite_parts(band, mask: int) -> dict:
+    """Each part of a band mask, as a finite set or EMPTY."""
+    return {name: FiniteSet(frozenset(band.cand[i] for i in _bits(bits)))
+            if (bits := mask & band.part_bits[name]) else EMPTY
+            for name in PART_NAMES}
 
 
 def _biperp_single(X: Vertex, P: Params) -> SupportReport:
@@ -651,15 +672,11 @@ def _biperp_single(X: Vertex, P: Params) -> SupportReport:
         # the formulas of _biperp_single_base need ht <= rank - 2.  A taller
         # X covers every residue, so its supports hold every Euclidean
         # vertex and every non-brick of its family, and miss the other
-        # family: only its family's bricks need the predicate
-        lo = X.family.lower()
-        own = [t for t in fundamental_domain(P)
-               if part_of(t)[0] == lo and _orthogonal_pair(t, X, P)]
-        parts = {name: EMPTY if name[0] == "e" else All(name)
-                 for name in PART_NAMES}
-        for name in (lo + "0", lo + "1"):
-            found = frozenset(t for t in own if part_of(t) == name)
-            parts[name] = FiniteSet(found) if found else EMPTY
+        # family: only its family's bricks need its row, from any band
+        band = _band(P, 0)
+        parts = _finite_parts(band, band.orthogonal(X))
+        other = "p" if X.family == "U" else "u"
+        parts.update({other + l: All(other + l) for l in "01"})
         return SupportReport(P, parts, True)
     if _is_unreduced(X):
         return _transport(_biperp_single_base(omega(X, P), P))
@@ -671,22 +688,15 @@ def biperp(S, P: Params) -> SupportReport:
     stable Hom to or from any member of S."""
     members = canonical_set(S, P)
     if not members:
-        parts = {name: All(name) for name in PART_NAMES}
-        return SupportReport(P, parts, True)
+        return SupportReport(P, {name: All(name) for name in PART_NAMES}, True)
     if len(members) == 1:
         return _biperp_single(members[0], P)
-    band, mask = _witnesses(members, P, None)
-    if band is None:
+    if not isinstance(members[0], Euclid):  # no band table is needed
         singles = [_biperp_single(m, P) for m in members]
-        parts = {
-            name: Intersection(tuple(s.parts[name] for s in singles))
-            for name in PART_NAMES
-        }
+        parts = {name: Intersection(tuple(s.parts[name] for s in singles))
+                 for name in PART_NAMES}
         return SupportReport(P, parts, True)
     # a Euclidean member confines the bi-perp to its band: read the table
-    parts = {}
-    for name in PART_NAMES:
-        bits = mask & band.part_bits[name]
-        parts[name] = (FiniteSet(frozenset(band.cand[i] for i in _bits(bits)))
-                       if bits else EMPTY)
-    return SupportReport(P, parts, False)
+    band, mem, off = _members(members, P)
+    return SupportReport(P, _finite_parts(band, _witnesses(band, mem, off,
+                                                           None)), False)

@@ -223,17 +223,16 @@ def vertex_sort_key(v: Vertex):
 
 def canonical_set(S, P: Params) -> list[Vertex]:
     """The canonical representatives of S, once each, in vertex_sort_key
-    order.  A P that is not a Params, or a member that is not a vertex,
-    raises DomainError."""
+    order.  A P that is not a Params, or a member that is not a vertex
+    (a plain tuple included), raises DomainError."""
     if not isinstance(P, Params):
         raise DomainError("P is not a Params: %r" % (P,))
-    try:
-        return sorted({canonical(v, P) for v in S}, key=vertex_sort_key)
-    except (AttributeError, IndexError, TypeError):
-        for v in S:
-            if not isinstance(v, (Euclid, Tube)):
-                raise DomainError("member %r is not a vertex" % (v,)) from None
-        raise
+    out = set()
+    for v in S:
+        if not isinstance(v, (Euclid, Tube)):
+            raise DomainError("member %r is not a vertex" % (v,))
+        out.add(canonical(v, P))
+    return sorted(out, key=vertex_sort_key)
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -8,9 +8,10 @@ system pins down a Euclidean band, hence the NoEuclideanMember precondition
 on the extension search.
 
 Every orthogonality question here, from the system predicate to the
-anchored, triangle and paired clique searches, reads an anchor band's
-orthogonality table, which homs owns (see its docstring).  Every band holds
-every tube brick, so tube-only sets and tube pools read the band at x = 0.
+anchored, triangle and paired clique searches, reads a set as one member
+mask on an anchor band's orthogonality table, which homs owns (see its
+docstring), and answers with row ANDs on it.  Every band holds every tube
+brick, so tube-only sets and tube pools read the band at x = 0.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .model import (
     Vertex,
     canonical_set,
     format_vertex,
-    is_brick_candidate,
 )
-from .homs import _band, _bits, _witnesses
+from .homs import _bits, _members, _witnesses
 
 
 class NoEuclideanMember(DomainError):
@@ -38,23 +38,21 @@ class NoEuclideanMember(DomainError):
 
 def is_orthogonal_system(S, P: Params) -> bool:
     """Bricks with no nonzero stable Hom between distinct members, read
-    from the band table of the first Euclidean member (x = 0 if none).  No
+    from the band table of the least Euclidean member (x = 0 if none).  No
     Euclidean vertex off that band is orthogonal to that member."""
-    return _orthogonal(canonical_set(S, P), P)
+    return _orthogonal(*_members(S, P))
 
 
-def _orthogonal(vs, P: Params, band=None) -> bool:
-    """is_orthogonal_system on a canonical list; band, when given, is the
-    table of its first Euclidean member."""
-    if not all(is_brick_candidate(v, P) for v in vs):
-        return False
-    if band is None:
-        band = _band(P, next((v.x for v in vs if isinstance(v, Euclid)), 0))
-    bits = [band.index.get(v) for v in vs]
-    if None in bits:
-        return False
-    members = sum(1 << i for i in bits)
-    return all(band.row(i, members) == members ^ (1 << i) for i in bits)
+def _orthogonal(band, mem: int, off) -> bool:
+    """is_orthogonal_system on a member mask: every member in the band, and
+    each member's row meets the others in all of them."""
+    rest = 0 if off else mem
+    while rest:
+        low = rest & -rest
+        if band.row(low.bit_length() - 1, mem) != mem ^ low:
+            return False
+        rest ^= low
+    return not off
 
 
 def euclidean_ortho_check(members, P: Params) -> bool:
@@ -94,22 +92,22 @@ def witness_pool(S, P: Params, parts=None) -> list[Vertex]:
     the bi-perpendicular category to one band of width p; tube heights cap
     at rank-2.  Returns [] when S has no Euclidean member.
     """
-    band, mask = _witnesses(canonical_set(S, P), P, parts)
-    return [band.cand[i] for i in _bits(mask)]
+    band, mem, off = _members(S, P)
+    return [band.cand[i] for i in _bits(_witnesses(band, mem, off, parts))]
 
 
 def maximality(S, P: Params, parts=None) -> MaximalityReport:
-    return _maximality(canonical_set(S, P), P, parts)
+    return _maximality(*_members(S, P), parts)
 
 
-def _maximality(vs, P: Params, parts=None) -> MaximalityReport:
-    """maximality of a canonical list, from one read of its band table."""
-    band, mask = _witnesses(vs, P, parts)
-    blocked = band is not None
+def _maximality(band, mem: int, off, parts=None) -> MaximalityReport:
+    """maximality of a member mask, from one read of its band table."""
+    mask = _witnesses(band, mem, off, parts)
+    blocked = bool(mem & band.euclid)
     return MaximalityReport(
         # a member only shrinks the pool, so an empty pool alone does not
         # make a set that is not orthogonal maximal
-        is_maximal=not mask and blocked and _orthogonal(vs, P, band),
+        is_maximal=not mask and blocked and _orthogonal(band, mem, off),
         witnesses=tuple(band.cand[i] for i in _bits(mask)),
         homogeneous_blocked=blocked,
     )
@@ -220,18 +218,18 @@ def maximal_systems_containing(S, P: Params, parts=None):
     """All maximal orthogonal systems containing S, canonical order.
 
     The search runs on the band table's bit indices; every member of an
-    orthogonal seed lies in the band.
+    orthogonal seed lies in the band, and the seed's bits are its mask's.
     """
-    vs = canonical_set(S, P)
-    if not any(isinstance(v, Euclid) for v in vs):
+    band, mem, off = _members(S, P)
+    if not mem & band.euclid:
         raise NoEuclideanMember("extension pool is unbounded without a "
                                 "Euclidean member")
-    if not _orthogonal(vs, P):
+    if not _orthogonal(band, mem, off):
         raise DomainError("seed is not an orthogonal system")
-    band, pool = _witnesses(vs, P, parts)
+    pool = _witnesses(band, mem, off, parts)
     if not pool:
-        return [vs]
-    return _maximal(band, pool, [band.index[v] for v in vs])
+        return [[band.cand[i] for i in _bits(mem)]]
+    return _maximal(band, pool, _bits(mem))
 
 
 def triangle_pool(family, level, idx, height, P: Params) -> list[Tube]:
@@ -260,13 +258,6 @@ def paired_pool(family, kind, idx, height, P: Params) -> list[Tube]:
     return canonical_set(lo + hi, P)
 
 
-def _all_systems(band, pool: int) -> list[list[Vertex]]:
-    """Every orthogonal subset of the pool mask, depth first in bit order."""
-    out = []
-    _extend(band, out, [], pool)
-    return out
-
-
 def _extend(band, out, prefix, cand):
     """Append prefix plus each nonempty orthogonal subset of cand, depth
     first."""
@@ -284,13 +275,13 @@ def _enumerate_on(pool_fn, family, arg, idx, height, P: Params,
                   maximal_only: bool):
     if height <= -1:
         return []
-    band = _band(P, 0)  # every band holds every tube brick
-    pool = 0
-    for v in pool_fn(family, arg, idx, height, P):
-        pool |= 1 << band.index[v]
+    # the pool's tubes are bricks, all in the band at x = 0
+    band, pool, _ = _members(pool_fn(family, arg, idx, height, P), P)
     if maximal_only:
         return _maximal(band, pool, [])
-    return _all_systems(band, pool)
+    out = []  # every orthogonal subset of the pool, depth first in bit order
+    _extend(band, out, [], pool)
+    return out
 
 
 def enumerate_ortho_on_triangle(family, level, idx, height, P: Params,
@@ -318,5 +309,11 @@ def enumeration_report(systems, include_systems: bool = False) -> dict:
         "byCardinality": {str(k): by_card[k] for k in sorted(by_card)},
     }
     if include_systems:
-        report["systems"] = [[format_vertex(v) for v in s] for s in systems]
+        # systems share their vertex objects: name each object once
+        objs = {}
+        for s in systems:
+            objs.update(zip(map(id, s), s))
+        names = {i: format_vertex(v) for i, v in objs.items()}
+        report["systems"] = [list(map(names.__getitem__, map(id, s)))
+                             for s in systems]
     return report

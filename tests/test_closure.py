@@ -1084,13 +1084,40 @@ class TestCanonicalBoundary:
          r"^member None is not a vertex$"),
         (lambda: closure(FLAGSHIP, P33, (-3, 3, -3, 3, 2)),
          r"^window is not a Window: \(-3, 3, -3, 3, 2\)$"),
+        # a plain tuple is not a vertex, canonical or not: (0, 1, 5) once
+        # answered as E(0,2,2)
+        (lambda: witness_pool([(0, 1, 5)], Params(2, 3)),
+         r"^member \(0, 1, 5\) is not a vertex$"),
+        (lambda: witness_pool([(0, 1, 0)], Params(2, 3)),
+         r"^member \(0, 1, 0\) is not a vertex$"),
     ], ids=["certify-params", "closure-params", "maximality-params",
             "biperp-params", "extract-params", "certify-string-member",
             "witness-tuple-member", "orthogonal-none-member",
-            "closure-tuple-window"])
+            "closure-tuple-window", "witness-raw-tuple", "witness-tuple"])
     def test_wrong_kind_is_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()
+
+    @pytest.mark.parametrize("member", [(0, 1, 5), (0, 1, 0)])
+    def test_plain_tuple_member_is_rejected_everywhere(self, member):
+        S = [Euclid(0, 1, 0), member]
+        for query in (*self.QUERIES.values(), closure, canonical_set,
+                      maximal_systems_containing,
+                      lambda S, P: replay_trace(S, Trace((), P), P)):
+            with pytest.raises(DomainError,
+                               match=r"^member \(0, 1, \d\) is not a "):
+                query(S, P33)
+
+    def test_generator_is_read_once(self):
+        """A generator set gives the answer of its list, and a bad member
+        in it is reported, though it can be iterated only once."""
+        S = list(FLAGSHIP)
+        for name, query in self.QUERIES.items():
+            assert _answer(query, (v for v in S), P33) == \
+                _answer(query, S, P33), name
+            bad = (v for v in S[:2] + [(0, 1, 5)])
+            with pytest.raises(DomainError, match=r"^member \(0, 1, 5\)"):
+                query(bad, P33)
 
 
 FLAGSHIP_CANON = tuple(canonical(v, P33) for v in FLAGSHIP)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arq2d
+from conftest import transpose
 from arq2d import homs
 from arq2d.closure import extract_params
 from arq2d.homs import PART_NAMES, part_of
@@ -478,6 +479,47 @@ class TestSystemPredicate:
         rng.shuffle(order)
         warm = {i: is_orthogonal_system(sets[i], P) for i in order}
         assert warm == cold
+
+
+class TestTransposeQueries:
+    """is_orthogonal_system, maximal_systems_containing (compared as sets)
+    and extract_params' predictedComp1 commute with the transpose T: (p,q)
+    and (q,p) are one algebra with its axes swapped, so T checks the x-axis
+    bits of the member mask, and of each gap rectangle, against the y-axis
+    ones.  The seeds are every maximal system through E(0,1,0), each
+    punctured variant and random sets."""
+
+    BUDGET_S = 10  # about 0.4 s for the three cases on a 2-core VM
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (2, 5)])
+    def test_queries_commute_with_transpose(self, p, q):
+        start = time.perf_counter()
+        P, PT = Params(p, q), Params(q, p)
+
+        def T(S):
+            return [canonical(transpose(v), PT) for v in S]
+
+        systems = maximal_systems_containing([Euclid(0, 1, 0)], P)
+        seeds = [S[:i] + S[i + 1:] for S in systems for i in range(len(S))]
+        seeds += _random_seeds(random.Random(5000 * p + q), P)
+        verdicts = set()
+        for S in systems + seeds:
+            verdicts.add(is_orthogonal_system(S, P))
+            assert is_orthogonal_system(T(S), PT) == \
+                is_orthogonal_system(S, P), S
+        assert verdicts == {True, False}
+        for S in [[Euclid(0, 1, 0)]] + seeds:
+            if (any(isinstance(v, Euclid) for v in S)
+                    and is_orthogonal_system(S, P)):
+                want = {frozenset(T(s))
+                        for s in maximal_systems_containing(S, P)}
+                assert set(map(frozenset, maximal_systems_containing(
+                    T(S), PT))) == want, S
+        for S in systems:
+            want = T(extract_params(S, P)["predictedComp1"])
+            got = extract_params(T(S), PT)["predictedComp1"]
+            assert set(got) == set(want) and len(got) == len(want), S
+        assert time.perf_counter() - start < self.BUDGET_S
 
 
 class TestBandTable:
