@@ -11,21 +11,13 @@ computed symbolically so left supports come from right supports by duality
 (Hom(Y,X) != 0 iff Hom(X, omega Y) != 0).  describe(P) reports a region
 as its kind plus its fields, each *_lo/*_hi pair as one [lo, hi] list.
 
-A set with a Euclidean member has a finite bi-perp, read from one
-orthogonality table per anchor band, keyed by (Params, ax) with ax the x
-of the set's least Euclidean member in vertex_sort_key order.  The band is
-every canonical Euclidean vertex with ax-p <= x <= ax+p on both components
-plus every brick-candidate tube vertex; it holds each brick candidate
-orthogonal to that member.  A row of a table is an int mask of the
-candidates orthogonal to one vertex v: the band minus R(v) | L(v), the
-vertices with a nonzero Hom from or to v.  Each of R(v) and L(v) is a
-union of at most four cones, residue bands and runs of tube heights, the
-closed forms of stable_hom_nonzero, so a row costs O(p+q) int operations
-and no Hom call.  A table builds a row when a query first needs it and
-keeps it; an LRU cache keeps the _BAND_TABLES (128) most recently used.
-A query reads its set once, into a member mask (_members): the band, the
-bits of the members it holds and a list of those it does not, and answers
-with row ANDs on that mask.  Only the oracle calls the Hom predicate.
+A set with a Euclidean member has a finite bi-perp, read from the
+orthogonality table of its anchor band (_Band): every canonical Euclidean
+vertex within p of ax, the x of its least Euclidean member, plus every
+brick tube.  A query reads its set once (_members), each member's bit
+computed from its coordinates, and answers with row ANDs on that member
+mask.  Rows come from closed forms of stable_hom_nonzero (_Band.orthogonal),
+so only the oracle calls the Hom predicate.
 """
 
 from __future__ import annotations
@@ -436,15 +428,17 @@ _BAND_TABLES = 128
 
 
 class _Band:
-    """Orthogonality table of one anchor band (see the module docstring).
+    """Orthogonality table of one anchor band; _band keeps the _BAND_TABLES
+    most recently used.
 
     cand lists the band's brick candidates in vertex_sort_key order and bit
     i of every mask stands for cand[i]: E(c, ax-p+k, y) is bit
-    (c*(2p+1) + k)*q + y, and the tubes follow, P before U, level 0 before
-    level 1, then by index and height, so euclid masks the Euclidean bits.
-    ortho[i] is cand[i]'s row, the bits of the candidates orthogonal to it;
-    it stays None until a query needs it.  A set's member mask ORs the bits
-    of its members, and its witnesses AND their rows."""
+    (c*(2p+1) + k)*q + y, and T(f, l, j, h) is bit tube_base[f, l] +
+    j*(r-1) + h, P before U and level 0 before level 1, so euclid masks the
+    Euclidean bits.  ortho[i] is cand[i]'s row, the bits of the candidates
+    orthogonal to it, built in O(p+q) int operations when a query first
+    needs it.  A set's member mask ORs its members' bits, and its witnesses
+    AND their rows."""
 
     def __init__(self, P: Params, ax: int):
         p, q = P
@@ -464,7 +458,6 @@ class _Band:
                 cand += [Tube(fam, level, j, h)
                          for j in range(r) for h in range(r - 1)]
         self.cand = cand
-        self.index = {v: i for i, v in enumerate(cand)}
         self.full = (1 << len(cand)) - 1
         # bit k*q for each column k of comp 0: the candidates at y = 0
         self.column = sum(1 << k * q for k in range(2 * p + 1))
@@ -569,29 +562,51 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _members(S, P: Params):
-    """(band, mem, off) of a set, each member read and canonicalized once:
-    the band of the least Euclidean member (x = 0 without one), the mask of
-    the members in it, and those not in it (off the band or not bricks),
-    once each.  A P not a Params or a member not a vertex is a DomainError."""
+def _read(S, P: Params):
+    """(vs, ax, mem, off): S as a list, the x of its least Euclidean member
+    in vertex_sort_key order (None without one), and the member mask and
+    off list of _members on the band at ax, by the band's bit arithmetic."""
     if not isinstance(P, Params):
         raise DomainError("P is not a Params: %r" % (P,))
-    vs, anchor = [], None
-    for v in S:
-        if not isinstance(v, (Euclid, Tube)):
+    p, q = P
+    vs, least = list(S), [None, None]
+    for v in vs:
+        if type(v) is Euclid or isinstance(v, Euclid):
+            c, x, y = v
+            x += p * (y // q)
+            if least[c] is None or x < least[c]:
+                least[c] = x
+        elif not isinstance(v, Tube):
             raise DomainError("member %r is not a vertex" % (v,))
-        vs.append(v := canonical(v, P))
-        if len(v) == 3 and (anchor is None or v < anchor):
-            anchor = v
-    band = _band(P, 0 if anchor is None else anchor.x)
+    ax = least[1] if least[0] is None else least[0]
+    lo, n = (0 if ax is None else ax) - p, 2 * p + 1
+    base = {"P": 2 * n * q, "U": 2 * (n * q + p * p - p)}  # tube_base[f, 0]
     mem, off = 0, []
     for v in vs:
-        i = band.index.get(v)
-        if i is not None:
-            mem |= 1 << i
-        elif v not in off:
+        if len(v) == 3:
+            c, x, y = v
+            k = x + p * (y // q) - lo
+            if 0 <= k < n:
+                mem |= 1 << (c * n + k) * q + y % q
+                continue
+        else:
+            f, l, j, h = v
+            r = p if f == "P" else q
+            if h < r - 1:
+                mem |= 1 << base[f] + (l * r + j % r) * (r - 1) + h
+                continue
+        if (v := canonical(v, P)) not in off:
             off.append(v)
-    return band, mem, off
+    return vs, ax, mem, off
+
+
+def _members(S, P: Params):
+    """(band, mem, off) of a set: the band of its least Euclidean member
+    (x = 0 without one), the mask of the members in it, and those not in it
+    (off the band or not bricks), canonical, once each in first-seen order.
+    A P not a Params or a member not a vertex is a DomainError."""
+    _, ax, mem, off = _read(S, P)
+    return _band(P, 0 if ax is None else ax), mem, off
 
 
 def _witnesses(band, mem: int, off, parts) -> int:
@@ -610,10 +625,11 @@ def _witnesses(band, mem: int, off, parts) -> int:
         return 0
     mask = (band.full if parts is None
             else sum(band.part_bits[name] for name in parts)) & ~mem
-    rest = mem
+    rows, rest = band.ortho, mem
     while rest and mask:
         low = rest & -rest
-        mask = band.row(low.bit_length() - 1, mask)
+        row = rows[low.bit_length() - 1]
+        mask &= band.row(low.bit_length() - 1, mask) if row is None else row
         rest ^= low
     for v in off:
         mask &= band.orthogonal(v)
@@ -686,17 +702,18 @@ def _biperp_single(X: Vertex, P: Params) -> SupportReport:
 def biperp(S, P: Params) -> SupportReport:
     """Bi-perpendicular category of a finite set: vertices with no nonzero
     stable Hom to or from any member of S."""
-    members = canonical_set(S, P)
+    vs, ax, mem, off = _read(S, P)
+    if ax is not None and mem.bit_count() + len(off) > 1:
+        # a Euclidean member confines the bi-perp to its band: read the table
+        band = _band(P, ax)
+        return SupportReport(P, _finite_parts(
+            band, _witnesses(band, mem, off, None)), False)
+    # no member, one member or only tubes: no band table is needed
+    members = canonical_set(vs, P)
     if not members:
         return SupportReport(P, {name: All(name) for name in PART_NAMES}, True)
     if len(members) == 1:
         return _biperp_single(members[0], P)
-    if not isinstance(members[0], Euclid):  # no band table is needed
-        singles = [_biperp_single(m, P) for m in members]
-        parts = {name: Intersection(tuple(s.parts[name] for s in singles))
-                 for name in PART_NAMES}
-        return SupportReport(P, parts, True)
-    # a Euclidean member confines the bi-perp to its band: read the table
-    band, mem, off = _members(members, P)
-    return SupportReport(P, _finite_parts(band, _witnesses(band, mem, off,
-                                                           None)), False)
+    singles = [_biperp_single(m, P).parts for m in members]
+    return SupportReport(P, {name: Intersection(tuple(
+        s[name] for s in singles)) for name in PART_NAMES}, True)

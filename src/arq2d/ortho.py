@@ -46,10 +46,12 @@ def is_orthogonal_system(S, P: Params) -> bool:
 def _orthogonal(band, mem: int, off) -> bool:
     """is_orthogonal_system on a member mask: every member in the band, and
     each member's row meets the others in all of them."""
-    rest = 0 if off else mem
+    rows, rest = band.ortho, 0 if off else mem
     while rest:
         low = rest & -rest
-        if band.row(low.bit_length() - 1, mem) != mem ^ low:
+        i = low.bit_length() - 1
+        row = band.row(i, mem) if rows[i] is None else rows[i] & mem
+        if row != mem ^ low:
             return False
         rest ^= low
     return not off
@@ -104,13 +106,11 @@ def _maximality(band, mem: int, off, parts=None) -> MaximalityReport:
     """maximality of a member mask, from one read of its band table."""
     mask = _witnesses(band, mem, off, parts)
     blocked = bool(mem & band.euclid)
+    # is_maximal, witnesses, homogeneous_blocked.  A member only shrinks the
+    # pool, so an empty pool alone does not make a non-orthogonal set maximal
     return MaximalityReport(
-        # a member only shrinks the pool, so an empty pool alone does not
-        # make a set that is not orthogonal maximal
-        is_maximal=not mask and blocked and _orthogonal(band, mem, off),
-        witnesses=tuple(band.cand[i] for i in _bits(mask)),
-        homogeneous_blocked=blocked,
-    )
+        not mask and blocked and _orthogonal(band, mem, off),
+        tuple(map(band.cand.__getitem__, _bits(mask))), blocked)
 
 
 def _branches(adj, top: int, memo: dict, cand: int, excl: int):

@@ -1,10 +1,10 @@
 """Differential fuzz of the member-mask queries against the oracle.
 
-maximality (with random parts), witness_pool, is_orthogonal_system and
-extract_params read a set through one member mask on a band table.  Here
-hypothesis draws sets the mask must handle: raw non-canonical lifts,
-duplicates, Euclidean members off the anchor's band, tubes that are not
-bricks, tube-only and mixed sets, and maximal systems with one of these
+maximality (with random parts), witness_pool, is_orthogonal_system,
+extract_params and biperp read a set through one member mask on a band
+table.  Here hypothesis draws sets the mask must handle: raw non-canonical
+lifts, duplicates, Euclidean members off the anchor's band, tubes that are
+not bricks, tube-only and mixed sets, and maximal systems with one of these
 changes.  Each answer is checked against the oracle's brute force over a
 window around the anchor, which trusts only the Hom predicate.  Bad input
 of any kind must raise DomainError.  Budget: about 3 s in all on a 2-core
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arq2d.closure import NoEuclideanMember, NotMaximal, extract_params
-from arq2d.homs import PART_NAMES, part_of
+from arq2d.homs import PART_NAMES, biperp, part_of
 from arq2d.model import (
     DomainError,
     Euclid,
@@ -157,6 +157,22 @@ class TestAgainstOracle:
             assert isinstance(got, dict), got
             assert sorted(got["predictedComp1"], key=vertex_sort_key) == \
                 sorted(comp1, key=vertex_sort_key)
+
+    @given(member_sets())
+    @FUZZ
+    def test_biperp(self, case):
+        """Every vertex of a window two periods around the anchor (x = 0
+        for a tube-only set) is in the reported bi-perp exactly when the
+        oracle finds it orthogonal to every member."""
+        P, S = case
+        report = biperp(S, P)
+        euclid = [canonical(v, P) for v in S if isinstance(v, Euclid)]
+        ax = min(euclid, key=vertex_sort_key).x if euclid else 0
+        window = WindowSpec(P, ax - 2 * P.p, ax + 2 * P.p, -P.q, 2 * P.q - 1,
+                            max(P.p, P.q))
+        expected = set(brute_biperp(S, window))
+        assert {v for v in window.vertices() if report.contains(v)} == \
+            expected
 
 
 BAD_MEMBERS = st.one_of(

@@ -38,9 +38,11 @@ from arq2d.homs import (
     stable_hom_nonzero,
 )
 from arq2d.model import (
+    DomainError,
     Euclid,
     Params,
     Tube,
+    Value,
     Window,
     canonical,
     fundamental_domain,
@@ -172,6 +174,34 @@ class TestTranspose:
                 assert stable_hom_nonzero(tv, tw, PT) == \
                     stable_hom_nonzero(v, w, P), (v, w)
 
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
+    def test_region_membership_commutes(self, p, q):
+        """T(v) is in the rsupp, lsupp or biperp region of T(X) or T(S) at
+        (q,p) exactly when v is in that of X or S at (p,q), for every v of
+        a one-period window.  The regions' JSON may differ under T; their
+        members may not.  The sets: single vertices (non-bricks included),
+        the maximal systems through E(0,1,0) with one member dropped, and a
+        few mixed and tube-only sets."""
+        P, PT = Params(p, q), Params(q, p)
+        grid = Window.periods(P, 1).vertices()
+        images = [transpose(v) for v in grid]
+        rng = random.Random(10 * p + q)
+        singles = rng.sample(grid, 8) + [Tube("U", 1, 0, q),
+                                         Tube("P", 0, 1, p)]
+        sets = [S[:i] + S[i + 1:] for S in
+                maximal_systems_containing([Euclid(0, 1, 0)], P)[:3]
+                for i in (0, len(S) - 1)]
+        sets += [rng.sample(grid, 3) for _ in range(4)] + [
+            [Tube("U", 0, 0, 0), Tube("P", 1, 1, 0)]]
+        cases = [(query, [X]) for X in singles for query in (rsupp, lsupp)]
+        cases += [(biperp, S) for S in sets + [[X] for X in singles]]
+        for query, S in cases:
+            rep = query(S[0], P) if query is not biperp else query(S, P)
+            TS = [transpose(v) for v in S]
+            repT = query(TS[0], PT) if query is not biperp else query(TS, PT)
+            assert [repT.contains(tv) for tv in images] == \
+                [rep.contains(v) for v in grid], (query.__name__, S)
+
 
 class TestShiftSymmetry:
     """The shifts sigma_x and sigma_y preserve the Hom predicate; tau is the
@@ -294,8 +324,8 @@ class TestBandRows:
         assert [band.cand[i] for i, row in enumerate(band.ortho)
                 if row is not None] == [Euclid(0, 1, 0)]
         assert report.witnesses == tuple(
-            band.cand[i] for i in homs._bits(band.ortho[band.index[
-                Euclid(0, 1, 0)]]))
+            band.cand[i] for i in homs._bits(band.ortho[band.cand.index(
+                Euclid(0, 1, 0))]))
         assert not report.is_maximal
         homs._band.cache_clear()
 
@@ -337,6 +367,106 @@ class TestBandRows:
             assert image.is_maximal == report.is_maximal
             assert set(image.witnesses) == set(T(report.witnesses))
             assert image.homogeneous_blocked == report.homogeneous_blocked
+
+
+def _naive_members(S, P):
+    """_members by its definition: canonical forms, the band of the least
+    Euclidean member (x = 0 without one), and a dict over the band's
+    candidates."""
+    if not isinstance(P, Params):
+        raise DomainError("P is not a Params: %r" % (P,))
+    vs = []
+    for v in S:
+        if not isinstance(v, (Euclid, Tube)):
+            raise DomainError("member %r is not a vertex" % (v,))
+        vs.append(canonical(v, P))
+    euclid = [v for v in vs if isinstance(v, Euclid)]
+    band = homs._band(P, min(euclid, key=vertex_sort_key).x if euclid else 0)
+    index = {v: i for i, v in enumerate(band.cand)}
+    mem, off = 0, []
+    for v in vs:
+        if v in index:
+            mem |= 1 << index[v]
+        elif v not in off:
+            off.append(v)
+    return band, mem, off
+
+
+@st.composite
+def raw_member_sets(draw):
+    """(P, S, as_generator): members written as raw lifts, with y and tube
+    indices outside their canonical range, Euclidean members off the
+    anchor's band on either side, non-brick tubes, repeats of one class
+    through two lifts, tube-only sets and, sometimes, a non-vertex member or
+    a P that is not a Params."""
+    P = Params(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    p, q = P
+    ax = draw(st.integers(-6, 6))
+    euclid = st.builds(Euclid, st.integers(0, 1),
+                       st.integers(ax - 3 * p, ax + 3 * p),
+                       st.integers(-2 * q, 3 * q - 1))
+    tube = st.sampled_from("UP").flatmap(lambda f: st.builds(
+        Tube, st.just(f), st.integers(0, 1),
+        st.integers(-2 * P.rank(f), 2 * P.rank(f)),
+        st.integers(0, P.rank(f) + 1)))
+    members = st.one_of(tube, euclid) if draw(st.booleans()) else tube
+    S = draw(st.lists(members, max_size=8))
+    for v in draw(st.lists(st.sampled_from(S), max_size=3)) if S else ():
+        l = draw(st.integers(-2, 2))
+        S.append(Euclid(v.comp, v.x - p * l, v.y + q * l)
+                 if isinstance(v, Euclid)
+                 else Tube(v.family, v.level, v.idx + P.rank(v.family) * l,
+                           v.ht))
+    S = draw(st.permutations(S))
+    if draw(st.integers(0, 9)) == 0:
+        S.insert(draw(st.integers(0, len(S))), draw(st.sampled_from(
+            [(0, 1, 0), ("U", 0, 1, 0), "E(0,1,0)", None, 3])))
+    if draw(st.integers(0, 9)) == 0:
+        P = draw(st.sampled_from([(p, q), None, "%d,%d" % (p, q)]))
+    return P, S, draw(st.booleans())
+
+
+class TestMemberMask:
+    """homs._members reads a set by the band's bit arithmetic.  It must give
+    the band, member mask and off list of its definition."""
+
+    @given(raw_member_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_reference(self, case):
+        P, S, as_generator = case
+        try:
+            want = _naive_members(S, P)
+        except DomainError as exc:
+            want = str(exc)
+        try:
+            got = homs._members((v for v in S) if as_generator else S, P)
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want
+
+    def test_in_band_read_makes_no_eq_call(self, monkeypatch):
+        """Members that are not the band's own objects, raw lifts included,
+        are found by arithmetic: no Value.__eq__ call."""
+        P = Params(5, 5)
+        systems = maximal_systems_containing([Euclid(0, 3, 2)], P)
+        S = systems[len(systems) // 2]
+        lifted = [Euclid(v.comp, v.x + P.p, v.y - P.q) if isinstance(v, Euclid)
+                  else Tube(v.family, v.level, v.idx - P.rank(v.family), v.ht)
+                  for v in S]
+        calls = []
+        eq = Value.__eq__
+
+        def counting(a, b):
+            calls.append((a, b))
+            return eq(a, b)
+
+        for T in (list(S), lifted):
+            band, mem, off = homs._members(T, P)  # the band is cached here
+            assert mem.bit_count() == len(S) and off == []
+            monkeypatch.setattr(Value, "__eq__", counting)
+            assert homs._members(T, P) == (band, mem, off)
+            monkeypatch.setattr(Value, "__eq__", eq)
+            assert calls == []
 
 
 class TestRegionCoherence:
@@ -529,6 +659,21 @@ class TestSingleBrickBiperpShape:
         assert set(doc["parts"]) == {"e0", "e1", "u0", "u1", "p0", "p1"}
         assert isinstance(doc["homogeneous_meets"], bool)
         assert part_of(Tube("P", 1, 0, 0)) == "p1"
+
+    def test_one_class_gives_the_single_report(self):
+        """A set whose members are one class, through any lifts, gets the
+        one-member report (rectangles for a Euclidean member), not the
+        finite sets of the band table; two classes get the band's sets."""
+        P = Params(3, 4)
+        for X, lift in ((Euclid(0, 1, 0), Euclid(0, -2, 4)),
+                        (Tube("U", 1, 1, 2), Tube("U", 1, -3, 2))):
+            want = biperp([X], P).to_json()
+            for S in ([lift], [X, lift, X], iter([lift, X])):
+                assert biperp(S, P).to_json() == want
+        doc = biperp([Euclid(0, 1, 0)], P).to_json()
+        assert doc["parts"]["e0"]["kind"] == "rectangle"
+        doc = biperp([Euclid(0, 1, 0), Tube("U", 1, 1, 0)], P).to_json()
+        assert doc["parts"]["e0"]["kind"] == "set"
 
 
 class TestDescribe:
